@@ -1,7 +1,7 @@
-(* xmark_bench — regenerate individual tables/figures of the paper.
+(* xmark_bench — regenerate the tables/figures of the paper.
 
-   `bench/main.exe` runs everything; this CLI picks one exhibit and a
-   factor, which is convenient while exploring.  The matrix exhibit and
+   `all` (the default exhibit) runs everything; naming one exhibit and a
+   factor is convenient while exploring.  The matrix exhibit and
    --stats-json run the full (system, query) grid, optionally fanned out
    over a domain pool with --jobs; results are identical for any pool
    size.
@@ -279,7 +279,7 @@ let run exhibit factor jobs no_vec stats_json bench_out bench_runs systems queri
     snapshot save shards =
   let module E = Xmark_core.Experiments in
   Cli.install_no_vec no_vec;
-  let pool = Cli.install_jobs jobs in
+  let pool = if jobs > 1 then Some (Xmark_parallel.create ~jobs) else None in
   let source = Option.map (fun p -> `Snapshot p) snapshot in
   try
     match save with

@@ -33,9 +33,9 @@ let print_summary doc =
 
 let run doc_file snapshot save_snapshot factor system query query_file query_number show_timing
     canonical_out warn summary explain no_vec jobs =
-  if explain then Xmark_core.Stats.enable ();
+  if explain then Xmark_stats.enable ();
   Cli.install_no_vec no_vec;
-  let pool = Cli.install_jobs jobs in
+  let pool = if jobs > 1 then Some (Xmark_parallel.create ~jobs) else None in
   let source, doc =
     match snapshot with
     | Some path -> (`Snapshot path, None)
@@ -113,7 +113,7 @@ let run doc_file snapshot save_snapshot factor system query query_file query_num
     print_endline (Xmark_xml.Serialize.fragment_to_string outcome.Xmark_core.Runner.result);
   (* stats go to stderr so the result on stdout stays byte-identical with
      and without --explain *)
-  if explain then Format.eprintf "%a@?" Xmark_core.Stats.pp ();
+  if explain then Format.eprintf "%a@?" Xmark_stats.pp ();
   0
 
 (* exit-code contract (README "Exit codes"): 1 = data/evaluation error,

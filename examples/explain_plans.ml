@@ -12,8 +12,7 @@
 
 module HA = Xmark_store.Backend_heap
 module SB = Xmark_store.Backend_shredded
-module PA = Xmark_store.Path_compiler
-module PB = Xmark_store.Path_compiler_b
+module PC = Xmark_store.Path_compiler
 module Ast = Xmark_xquery.Ast
 module Parser = Xmark_xquery.Parser
 
@@ -37,16 +36,16 @@ let () =
   List.iter
     (fun path ->
       Printf.printf "PATH %s\n" path;
-      let pa = PA.compile heap (steps_of path) in
-      let pb = PB.compile shredded (steps_of path) in
-      Printf.printf "  System A (edge model, %d joins):\n    %s\n" (PA.join_count pa)
-        (PA.explain pa);
+      let pa = PC.compile (PC.Heap heap) (steps_of path) in
+      let pb = PC.compile (PC.Shredded shredded) (steps_of path) in
+      Printf.printf "  System A (edge model, %d joins):\n    %s\n" (PC.join_count pa)
+        (PC.explain pa);
       Printf.printf "  System B (fragmented, %d relations touched):\n    %s\n"
-        (PB.relations_touched pb) (PB.explain pb);
+        (PC.relations_touched pb) (PC.explain pb);
       let t0 = Unix.gettimeofday () in
-      let ra = PA.execute pa in
+      let ra = PC.execute pa in
       let t1 = Unix.gettimeofday () in
-      let rb = PB.execute pb in
+      let rb = PC.execute pb in
       let t2 = Unix.gettimeofday () in
       Printf.printf "  results: %d nodes (A %.2f ms, B %.2f ms, identical: %b)\n\n"
         (List.length ra)

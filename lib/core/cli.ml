@@ -303,7 +303,3 @@ let shards =
            process per shard behind per-shard wire endpoints — gating every \
            answer against the single-store digest.  0 (default) disables \
            sharding.")
-
-let install_jobs n =
-  Xmark_parallel.set_default_jobs n;
-  Xmark_parallel.default ()

@@ -12,14 +12,6 @@ val read_file : string -> string
 
 val system_of_string : string -> (Runner.system, [ `Msg of string ]) result
 
-val parse_systems : string -> Runner.system list
-(** ["B,G"] -> [[Runner.B; Runner.G]].
-    @raise Failure on an unknown system letter. *)
-
-val parse_queries : string -> int list
-(** ["1,8,20"] or ["1-5,8"] -> query numbers.
-    @raise Failure on a malformed entry. *)
-
 (* --- terms ---------------------------------------------------------------- *)
 
 val factor : ?default:float -> unit -> float Cmdliner.Term.t
@@ -108,11 +100,6 @@ val shards : int Cmdliner.Term.t
     sharding. *)
 
 (* --- wiring --------------------------------------------------------------- *)
-
-val install_jobs : int -> Xmark_parallel.pool option
-(** Install the process-wide default pool for [--jobs n] (see
-    {!Xmark_parallel.set_default_jobs}) and return it; [None] when [n <=
-    1], meaning sequential execution everywhere. *)
 
 val install_no_vec : bool -> unit
 (** Apply [--no-vec]: when true, switch

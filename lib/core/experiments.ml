@@ -6,6 +6,8 @@
     in-memory reimplementation rather than the original products on
     550 MHz Pentium III hardware (see EXPERIMENTS.md). *)
 
+module Stats = Xmark_stats
+
 let default_factor =
   match Sys.getenv_opt "XMARK_FACTOR" with
   | Some s -> ( match float_of_string_opt s with Some f when f > 0.0 -> f | _ -> 0.01)

@@ -42,9 +42,6 @@ val table2 : ?factor:float -> ?runs:int -> unit -> table2_row list
 
 (* --- Table 3: query runtimes on Systems A-F ------------------------------- *)
 
-val table3_queries : int list
-(** The paper's Table 3 subset: 1,2,3,5,6,7,8,9,10,11,12,17,20. *)
-
 type table3_row = {
   t3_query : int;
   t3_ms : (Runner.system * float) list;
@@ -93,8 +90,6 @@ val fulltext :
   (string * float * float * float * float * int) list
 (** Per word: (word, D cold ms, D warm ms, F scan ms, contains ms, hits). *)
 
-val throughput_mix : int list
-
 val throughput :
   ?factor:float ->
   ?budget_s:float ->
@@ -116,7 +111,7 @@ type stats_cell = {
   sc_load_ms : float;  (** bulkload (or snapshot restore) wall time *)
   sc_compile_ms : float;
   sc_execute_ms : float;
-  sc_counters : (string * int) list;  (** per-run {!Stats} counter deltas *)
+  sc_counters : (string * int) list;  (** per-run {!Xmark_stats} counter deltas *)
   sc_load_counters : (string * int) list;
       (** counter deltas of this cell's load phase — [sax_events] for a
           parse, [pager_*]/[snapshot_bytes] for a restore *)
@@ -131,7 +126,7 @@ val matrix :
   ?queries:int list ->
   unit ->
   stats_cell list * (string * int) list
-(** Run every (system, query) cell with {!Stats} enabled, each cell on a
+(** Run every (system, query) cell with {!Xmark_stats} enabled, each cell on a
     freshly loaded store so cells are independent of execution order.
     [source] defaults to a generated document at [factor]; pass
     [`Snapshot path] to benchmark restored sessions instead.  With a
@@ -140,7 +135,7 @@ val matrix :
     whole matrix (bulkloads included).  Everything except wall-clock
     timings and GC counters is byte-identical for any pool size —
     {!matrix_digest} is that determinism contract made checkable.  The
-    previous enabled/disabled state of {!Stats} is restored on
+    previous enabled/disabled state of {!Xmark_stats} is restored on
     return. *)
 
 val matrix_digest : factor:float -> stats_cell list * (string * int) list -> string
@@ -164,7 +159,7 @@ val stats_matrix :
 
 val stats_json : ?jobs:int -> factor:float -> stats_cell list -> string
 (** Render a matrix as JSON: per-system, per-query counter objects with
-    a stable key set ({!Stats.counter_inventory}), each cell carrying
+    a stable key set ({!Xmark_stats.counter_inventory}), each cell carrying
     both its run counters ("counters") and its load-phase counters and
     time ("load", "load_ms") — which is where a snapshot restore's
     pager hit/miss behaviour shows up.  The leading "provenance" object
@@ -202,7 +197,7 @@ val bench_matrix :
 val bench_json : ?factor:float -> ?jobs:int -> runs:int -> bench_cell list -> string
 (** Render a bench matrix as a flat JSON cell array
     [{"provenance": {...}, "factor": f, "runs": n, "cells": [...]}] with
-    the stable {!Stats.counter_inventory} key set per cell; the
+    the stable {!Xmark_stats.counter_inventory} key set per cell; the
     provenance header ({!Provenance.json}) records factor, [jobs]
     (default 1), [runs] and the git commit. *)
 
@@ -211,12 +206,6 @@ val bench_json : ?factor:float -> ?jobs:int -> runs:int -> bench_cell list -> st
 val fig3_to_csv : fig3_row list -> string
 
 val table1_to_csv : table1_row list -> string
-
-val table3_to_csv : table3_row list -> string
-
-val fig4_to_csv : fig4_row list -> string
-
-val write_file : string -> string -> unit
 
 val run_all : ?factor:float -> unit -> unit
 (** Every exhibit in sequence; writes CSV series when [XMARK_CSV_DIR] is

@@ -1,3 +1,4 @@
+module Stats = Xmark_stats
 module Xml = Xmark_xml
 module Store = Xmark_store
 module R = Xmark_relational
@@ -322,11 +323,6 @@ let prepare store n =
         p_repr = PlC plan }
   | SA _ | SB _ | SM _ | SG _ -> prepare_text store (Queries.text n)
 
-let try_prepare_text store qtext =
-  match prepare_text store qtext with
-  | p -> Ok p
-  | exception Unsupported msg -> Error (`Unsupported msg)
-
 (* [snap] anchors the outcome's counter deltas: run/run_text pass the
    snapshot taken before their compile phase, so a one-shot outcome
    keeps covering compile + execute, while [execute_prepared] covers
@@ -398,8 +394,6 @@ let run store n =
 
 let run_session session n = run session.store n
 
-let run_text_session session qtext = run_text session.store qtext
-
 let canonical outcome = Xml.Canonical.of_nodes outcome.result
 
 (* --- sharded sessions ---------------------------------------------------- *)
@@ -416,8 +410,6 @@ let shard_sessions sessions =
         invalid_arg "Runner.shard_sessions: shards must share one system")
     sessions;
   sessions
-
-let shard_count (s : sharded) = Array.length s
 
 let run_sharded (shards : sharded) q =
   Merge.scatter_gather ~shards:(Array.length shards)

@@ -81,8 +81,8 @@ type outcome = {
   metadata_accesses : int;  (** catalog entries touched during compilation *)
   run_stats : (string * int) list;
       (** execution-statistics deltas (counter, value) accumulated by this
-          run across compile and execute — see {!Stats}; [[]] unless
-          [Stats.enable] was called *)
+          run across compile and execute — see {!Xmark_stats}; [[]] unless
+          [Xmark_stats.enable] was called *)
 }
 
 exception Unsupported of string
@@ -126,10 +126,6 @@ val prepare_text : store -> string -> prepared
 (** Compile arbitrary XQuery text.
     @raise Unsupported on System C, which executes prepared plans only. *)
 
-val try_prepare_text :
-  store -> string -> (prepared, [ `Unsupported of string ]) result
-(** Like {!prepare_text} with the unsupported case as a value. *)
-
 val plan_description : prepared -> string list
 (** Physical plan for [--explain]: per vectorized path, one line per
     step with the cost-model pick and its inputs (estimated input/output
@@ -147,10 +143,6 @@ val run_session : session -> int -> outcome
     session's store.
     @raise Invalid_argument for an unknown query number. *)
 
-val run_text_session : session -> string -> outcome
-(** Execute arbitrary XQuery text on the session's store.
-    @raise Unsupported on System C, which executes prepared plans only. *)
-
 val canonical : outcome -> string
 (** Canonical result form for cross-system comparison. *)
 
@@ -167,8 +159,6 @@ type sharded
 val shard_sessions : session array -> sharded
 (** Wrap per-shard sessions, in shard order.
     @raise Invalid_argument on an empty array or mixed systems. *)
-
-val shard_count : sharded -> int
 
 val run_sharded : sharded -> int -> int * string
 (** [run_sharded s q] executes benchmark query [q] scatter-gather over

@@ -19,8 +19,6 @@ let measure f =
   let w1 = Unix.gettimeofday () in
   (result, { wall_ms = (w1 -. w0) *. 1000.0; cpu_ms = (c1 -. c0) *. 1000.0 })
 
-let time_only f = snd (measure f)
-
 (* The upper median: rank [runs / 2] (0-based) of the sorted runs, so
    [runs = 1] picks the only run and even [runs] pick the later of the two
    middle elements rather than interpolating (the result must be one of

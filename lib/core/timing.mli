@@ -13,8 +13,6 @@ val add : span -> span -> span
 val measure : (unit -> 'a) -> 'a * span
 (** Run the thunk once, returning its result and the elapsed span. *)
 
-val time_only : (unit -> unit) -> span
-
 val median_rank : int -> int
 (** 0-based rank of the run {!measure_median} selects after sorting by
     wall-clock time: the upper median, [runs / 2].  [median_rank 1 = 0];

@@ -14,8 +14,6 @@ type decoder
 
 val decoder : string -> decoder
 
-val remaining : decoder -> int
-
 (* --- encoders ------------------------------------------------------------ *)
 
 val add_u8 : Buffer.t -> int -> unit
@@ -28,8 +26,6 @@ val add_f64 : Buffer.t -> float -> unit
 
 val add_str : Buffer.t -> string -> unit
 (** Length-prefixed (u32) bytes. *)
-
-val add_value : Buffer.t -> Xmark_relational.Value.t -> unit
 
 val add_table : Buffer.t -> Xmark_relational.Table.t -> unit
 (** Name, column list, then the rows in row-identifier order. *)
@@ -62,8 +58,6 @@ val i64 : decoder -> int
 val f64 : decoder -> float
 
 val str : decoder -> string
-
-val value : decoder -> Xmark_relational.Value.t
 
 val table : decoder -> Xmark_relational.Table.t
 (** The decoded table is sealed: concurrent readers see a pure array. *)

@@ -46,8 +46,6 @@ let close t = close_in_noerr t.ic
 
 let page_count t = t.npages
 
-let capacity t = t.cap
-
 let touch t e =
   t.tick <- t.tick + 1;
   e.last_used <- t.tick

@@ -16,9 +16,6 @@
 
 type t
 
-val default_capacity : int
-(** 256 pages — 1 MB of cache. *)
-
 val open_file : ?capacity:int -> string -> t
 (** Open a snapshot file for paged reads.
     @raise Page_io.Corrupt when the file is empty or its length is not a
@@ -28,8 +25,6 @@ val open_file : ?capacity:int -> string -> t
 val close : t -> unit
 
 val page_count : t -> int
-
-val capacity : t -> int
 
 val page : t -> int -> bytes
 (** The page's bytes ({!Page_io.page_size} of them), trailer-verified.

@@ -16,8 +16,6 @@ let push t x =
   t.data.(t.len) <- x;
   t.len <- t.len + 1
 
-let clear t = t.len <- 0
-
 let to_array t = Array.sub t.data 0 t.len
 
 let sorted_unique t =

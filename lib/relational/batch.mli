@@ -22,8 +22,6 @@ val length : t -> int
 
 val push : t -> int -> unit
 
-val clear : t -> unit
-
 val to_array : t -> int array
 (** Contents in push order (fresh array). *)
 

@@ -195,14 +195,3 @@ let max_key t =
   let l = rightmost t.root in
   let n = Array.length l.keys in
   if n > 0 then Some l.keys.(n - 1) else None
-
-let byte_size t =
-  let rec size = function
-    | Leaf l ->
-        Array.fold_left (fun acc vs -> acc + 24 + (8 * List.length vs)) 64 l.vals
-        + Array.fold_left
-            (fun acc k -> acc + match k with Value.Str s -> 16 + String.length s | _ -> 8)
-            0 l.keys
-    | Internal inner -> Array.fold_left (fun acc c -> acc + size c) 64 inner.children
-  in
-  size t.root

@@ -40,5 +40,3 @@ val depth : t -> int
 val min_key : t -> Value.t option
 
 val max_key : t -> Value.t option
-
-val byte_size : t -> int

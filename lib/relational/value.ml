@@ -17,12 +17,6 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-let hash = function
-  | Null -> 17
-  | Int i -> Hashtbl.hash (float_of_int i)
-  | Num f -> Hashtbl.hash f
-  | Str s -> Hashtbl.hash s
-
 let to_string = function
   | Int i -> string_of_int i
   | Num f ->
@@ -30,9 +24,3 @@ let to_string = function
       else Printf.sprintf "%.12g" f
   | Str s -> s
   | Null -> ""
-
-let of_float f = Num f
-
-let is_null = function Null -> true | Int _ | Num _ | Str _ -> false
-
-let pp fmt v = Format.pp_print_string fmt (to_string v)

@@ -11,15 +11,7 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
-val hash : t -> int
-
 val to_string : t -> string
 
 val to_float : t -> float
 (** Runtime cast; [Str] parses, failures and [Null] give [nan]. *)
-
-val of_float : float -> t
-
-val is_null : t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -331,6 +331,3 @@ let fold_rows_blocked ~poll ~row_count f init =
     off := !off + len
   done;
   !acc
-
-let iter_of_ids ids =
-  Iter.of_list (Array.to_list (Array.map (fun id -> [| Value.Int id |]) ids))

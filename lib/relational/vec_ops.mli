@@ -136,7 +136,3 @@ val fold_rows_blocked :
 (** Fold row indices [0 .. row_count-1] in blocks: batch counters and a
     [poll] per block, for table scans outside the path pipeline
     (System C's hand plans). *)
-
-val iter_of_ids : int array -> Iter.t
-(** Bridge a vectorized result into the pull-based scalar pipeline as
-    single-column [Int] rows. *)

@@ -106,18 +106,6 @@ let status_name = function
   | 10 -> "not-sharded"
   | _ -> "unknown"
 
-(* CLI contract: 0 success, 1 data/evaluation errors, 2 usage, 3
-   unsupported.  Load shedding, deadlines, transport failures and
-   integrity rejections all mean "the run did not produce its answers"
-   — data errors.  [Read_only] is the write-path [Unsupported]: this
-   server cannot run that form of request. *)
-let exit_code = function
-  | Bad_request _ -> 2
-  | Unsupported _ | Read_only _ | Not_sharded _ -> 3
-  | Failed _ | Overloaded _ | Timeout _ | Unavailable _ | Rejected _
-  | Wrong_shard _ ->
-      1
-
 let write_fault_to_string = function
   | Unknown_auction id -> Printf.sprintf "no such open auction %s" id
   | Unknown_person id -> Printf.sprintf "no such person %s" id

@@ -148,16 +148,6 @@ val status_name : int -> string
 (** ["ok"], ["failed"], ["bad-request"], ... — ["unknown"] for numbers
     this build does not define. *)
 
-val exit_code : error -> int
-(** Collapse onto the CLI exit-code contract (README "Exit codes"):
-    [1] data/evaluation errors (also timeouts, overload, transport
-    failures, rejected updates and [Wrong_shard] misroutes — the run
-    did not produce its answers), [2] usage errors ([Bad_request]),
-    [3] [Unsupported], [Read_only] and [Not_sharded] (the store cannot
-    run this form of request). *)
-
-val write_fault_to_string : write_fault -> string
-
 val error_to_string : error -> string
 (** One line, prefixed with the stable code: ["error 5: timeout after
     3.2 ms"]. *)

@@ -165,7 +165,6 @@ let session t = (Atomic.get t.current).ep_session
 let epoch t = (Atomic.get t.current).ep_epoch
 let shard t = t.scope
 let writable t = t.writer <> None
-let config t = t.cfg
 
 (* Request counters are exact.  Plan-cache totals are current-epoch
    stats plus the folded counters of retired epochs; if an epoch swap

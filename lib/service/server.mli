@@ -121,8 +121,6 @@ val shard : t -> int option
 
 val writable : t -> bool
 
-val config : t -> config
-
 val handle : t -> Protocol.request -> Protocol.response
 (** The entry point: execute one typed request.  Thread-safe; blocks at
     most while queued for an execution slot (reads) or for the write

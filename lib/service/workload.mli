@@ -46,10 +46,6 @@ type transport = unit -> conn
 (** Connection factory, called once per client strand on the runner
     domain that will use the connection. *)
 
-val local : Server.t -> transport
-(** The in-process transport: [call] is {!Server.handle}, [close] a
-    no-op. *)
-
 type op_class =
   | Query of int  (** benchmark query 1-20 *)
   | Bid  (** place_bid on a random open auction *)
@@ -64,10 +60,6 @@ type mix = (op_class * int) list
 
 val uniform_mix : mix
 (** Q1-Q20, weight 1 each — read-only. *)
-
-val interactive_mix : mix
-(** Lookups, scans and small aggregates — the default service mix;
-    excludes the quadratic join queries Q9-Q12.  Read-only. *)
 
 val mixed_mix : mix
 (** Auction browsing under a bid storm: the interactive read profile

@@ -47,9 +47,6 @@ type t = {
   totals : (string * int) list;  (** catalog union: tag → global count *)
 }
 
-val filename : string
-(** ["MANIFEST.xmm"] — the fixed name inside a shard directory. *)
-
 val encode : t -> string
 (** Deterministic: the same manifest always encodes to the same bytes.
     @raise Invalid_argument if the map is not a partition (the writer

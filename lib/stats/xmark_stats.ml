@@ -117,17 +117,6 @@ let count_allocations f =
       f
   end
 
-let time name f =
-  if not (Atomic.get on) then f ()
-  else begin
-    let t0 = Unix.gettimeofday () in
-    Fun.protect
-      ~finally:(fun () ->
-        let dt = Unix.gettimeofday () -. t0 in
-        incr ~by:(int_of_float (dt *. 1e6)) (name ^ "_us"))
-      f
-  end
-
 let get ~scope name =
   match Hashtbl.find_opt (st ()).scopes scope with
   | None -> 0
@@ -222,8 +211,6 @@ let to_assoc () =
     (st ()).scopes []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let totals () = sorted_assoc (totals_tbl ())
-
 let pp fmt () =
   let groups = to_assoc () in
   if groups = [] then Format.fprintf fmt "(no statistics recorded)@."
@@ -270,16 +257,3 @@ let json_of_counters counters =
   ^ String.concat ", "
       (List.map (fun (name, v) -> Printf.sprintf "\"%s\": %d" (json_escape name) v) fields)
   ^ "}"
-
-let to_json () =
-  let scope_obj (scope, cs) =
-    Printf.sprintf "\"%s\": %s"
-      (json_escape (if scope = "" then "(top)" else scope))
-      ("{"
-      ^ String.concat ", "
-          (List.map (fun (n, v) -> Printf.sprintf "\"%s\": %d" (json_escape n) v) cs)
-      ^ "}")
-  in
-  Printf.sprintf "{\"scopes\": {%s}, \"totals\": %s}"
-    (String.concat ", " (List.map scope_obj (to_assoc ())))
-    (json_of_counters (totals ()))

@@ -57,11 +57,6 @@ val incr : ?by:int -> string -> unit
 (** Add [by] (default 1) to a counter in the current scope.  No-op when
     disabled. *)
 
-val time : string -> (unit -> 'a) -> 'a
-(** [time name f] runs [f] and adds its wall-clock duration in
-    microseconds to counter [name ^ "_us"].  When disabled, just
-    [f ()]. *)
-
 val count_allocations : (unit -> 'a) -> 'a
 (** [count_allocations f] runs [f] and adds the allocation the GC saw
     during it to the current scope: [gc_minor_words] (young-generation
@@ -109,14 +104,9 @@ val counter_inventory : string list
 val to_assoc : unit -> (string * (string * int) list) list
 (** [(scope, [(counter, value); ...]); ...], both levels sorted. *)
 
-val totals : unit -> (string * int) list
-
 val pp : Format.formatter -> unit -> unit
 (** Human-readable per-scope counter table. *)
 
 val json_of_counters : (string * int) list -> string
 (** A JSON object [{"counter": value, ...}]; counters from
     {!counter_inventory} are always present. *)
-
-val to_json : unit -> string
-(** Full dump: [{"scopes": {scope: {counter: value}}, "totals": {...}}]. *)

@@ -2,8 +2,6 @@ type t = { doc : string }
 
 let load doc = { doc }
 
-let load_dom root = { doc = Xmark_xml.Serialize.to_string root }
-
 let document t = t.doc
 
 let bytes t = String.length t.doc
@@ -13,5 +11,3 @@ let session t =
      paper's Figure 4, visible as per-run [sax_events] *)
   Xmark_stats.incr "reparse_sessions";
   Backend_mainmem.of_string ~level:`Plain t.doc
-
-let description _ = "embedded query processor, re-parses the document per query (System G)"

@@ -18,9 +18,6 @@ val load : string -> t
 (** Keep the serialized document; cheap ("bulkload" for an embedded
     processor is nothing but retaining the input). *)
 
-val load_dom : Xmark_xml.Dom.node -> t
-(** Serializes the tree first — an embedded processor starts from text. *)
-
 val document : t -> string
 
 val bytes : t -> int
@@ -29,5 +26,3 @@ val session : t -> Backend_mainmem.t
 (** Parse the document and return a store valid for one query execution.
     The parse is intentional per-call work: it is System G's constant
     overhead. *)
-
-val description : t -> string

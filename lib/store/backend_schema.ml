@@ -399,5 +399,3 @@ let size_bytes t = R.Catalog.byte_size t.cat
 
 let row_total t =
   List.fold_left (fun acc tbl -> acc + R.Table.row_count tbl) 0 (R.Catalog.tables t.cat)
-
-let description _ = "relational, DTD-derived inlined schema (System C)"

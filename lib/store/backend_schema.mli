@@ -66,5 +66,3 @@ val of_tables : ?pool:Xmark_parallel.pool -> Xmark_relational.Table.t list -> t
 val size_bytes : t -> int
 
 val row_total : t -> int
-
-val description : t -> string

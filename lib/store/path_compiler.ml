@@ -6,6 +6,8 @@ exception Unsupported of string
 
 let unsupported fmt = Printf.ksprintf (fun s -> raise (Unsupported s)) fmt
 
+type store = Heap of Backend_heap.t | Shredded of Backend_shredded.t
+
 type test = Tag of Symbol.t | Any_element
 
 type op =
@@ -14,7 +16,7 @@ type op =
   | Descendant_closure of op * test
   | Attr_join of op * string * string  (* [@name = "value"] *)
 
-type plan = { store : Backend_heap.t; op : op }
+type plan = { store : store; op : op }
 
 (* --- compilation ------------------------------------------------------------ *)
 
@@ -55,10 +57,10 @@ let compile_expr store = function
   | Ast.Path (Ast.Root, steps) -> ( try Some (compile store steps) with Unsupported _ -> None)
   | _ -> None
 
-(* --- execution --------------------------------------------------------------- *)
+(* --- scalar execution ---------------------------------------------------------- *)
 
-(* The physical access paths of the heap store, straight from its catalog. *)
-type access = {
+(* System A's physical access paths, straight from its catalog. *)
+type heap_access = {
   nodes : R.Table.t;
   attrs : R.Table.t;
   children_idx : R.Index.t;
@@ -69,7 +71,7 @@ type access = {
   avalue_col : int;
 }
 
-let access store =
+let heap_access store =
   let cat = Backend_heap.catalog store in
   let table name =
     match R.Catalog.lookup cat name with
@@ -93,57 +95,100 @@ let access store =
     avalue_col = R.Table.col_index attrs "value";
   }
 
-let row_matches a test row =
-  row.(a.kind_col) = R.Value.Int 0
-  &&
-  match test with
-  | Any_element -> true
-  | Tag tag -> (
-      (* dictionary-encoded tag column: an int compare, no hashing *)
-      match row.(a.tag_col) with R.Value.Int t -> t = (tag :> int) | _ -> false)
+(* The scalar operators reach each mapping's relations differently: System A
+   resolves its two relations once per execution, while on System B every
+   relation and index lookup goes through the catalog, as in a real
+   system, so each probe is a metadata access. *)
+type access = Heap_rel of heap_access | Shredded_rel of Backend_shredded.t
 
-(* index-nested-loop join on the parent column *)
-let children_of a test ids =
-  List.concat_map
-    (fun id ->
-      List.filter
-        (fun child -> row_matches a test (R.Table.get a.nodes child))
-        (R.Index.lookup a.children_idx (R.Value.Int id)))
-    ids
+let access = function
+  | Heap s -> Heap_rel (heap_access s)
+  | Shredded s -> Shredded_rel s
+
+let root = function Heap_rel _ -> 0 | Shredded_rel s -> Backend_shredded.root s
+
+let matches access test id =
+  match access with
+  | Heap_rel a -> (
+      let row = R.Table.get a.nodes id in
+      row.(a.kind_col) = R.Value.Int 0
+      &&
+      match test with
+      | Any_element -> true
+      | Tag tag -> (
+          (* dictionary-encoded tag column: an int compare, no hashing *)
+          match row.(a.tag_col) with R.Value.Int t -> t = (tag :> int) | _ -> false))
+  | Shredded_rel s -> (
+      match test with
+      | Any_element -> true
+      | Tag tag -> Symbol.equal (Backend_shredded.name s id) tag)
+
+(* ids of rows of one System B tag relation whose parent is in [ids] *)
+let probe_relation store tag ids =
+  let cat = Backend_shredded.catalog store in
+  match (R.Catalog.lookup cat tag, R.Catalog.lookup_index cat ~table:tag ~column:"parent") with
+  | Some table, Some idx ->
+      List.concat_map
+        (fun parent ->
+          List.filter_map
+            (fun row_id ->
+              match (R.Table.get table row_id).(0) with
+              | R.Value.Int id -> Some id
+              | _ -> None)
+            (R.Index.lookup idx (R.Value.Int parent)))
+        ids
+  | _ -> []
+
+(* index-nested-loop join on the parent column; sorted, deduplicated *)
+let children_of access test ids =
+  (match access with
+  | Heap_rel a ->
+      List.concat_map
+        (fun id ->
+          List.filter (matches access test) (R.Index.lookup a.children_idx (R.Value.Int id)))
+        ids
+  | Shredded_rel s ->
+      let tags =
+        match test with
+        | Tag tag -> [ Symbol.to_string tag ]
+        | Any_element -> Backend_shredded.element_tags s
+      in
+      List.concat_map (fun tag -> probe_relation s tag ids) tags)
   |> List.sort_uniq compare
 
-let rec closure a test frontier acc =
+let attr_matches access name value id =
+  match access with
+  | Heap_rel a ->
+      List.exists
+        (fun row_id ->
+          let row = R.Table.get a.attrs row_id in
+          row.(a.aname_col) = R.Value.Str name && row.(a.avalue_col) = R.Value.Str value)
+        (R.Index.lookup a.attr_owner_idx (R.Value.Int id))
+  | Shredded_rel s -> Backend_shredded.attribute s id name = Some value
+
+let rec closure access test frontier acc =
   match frontier with
   | [] -> List.sort_uniq compare acc
   | _ ->
-      let kids = children_of a Any_element frontier in
-      let matching = List.filter (fun id -> row_matches a test (R.Table.get a.nodes id)) kids in
-      closure a test kids (List.rev_append matching acc)
+      let kids = children_of access Any_element frontier in
+      let matching = List.filter (matches access test) kids in
+      closure access test kids (List.rev_append matching acc)
 
-let attr_matches a name value id =
-  List.exists
-    (fun row_id ->
-      let row = R.Table.get a.attrs row_id in
-      row.(a.aname_col) = R.Value.Str name && row.(a.avalue_col) = R.Value.Str value)
-    (R.Index.lookup a.attr_owner_idx (R.Value.Int id))
-
-let rec run a = function
-  | Document -> [ -1 ]  (* sentinel: the document node's only child is node 0 *)
+let rec run access = function
+  | Document -> [ -1 ]  (* sentinel: the document node's only child is the root *)
   | Child_join (op, test) -> (
-      match run a op with
+      match run access op with
       | [ -1 ] ->
-          (* children of the document node: the root element *)
-          if row_matches a test (R.Table.get a.nodes 0) then [ 0 ] else []
-      | ids -> children_of a test ids)
+          let r = root access in
+          if matches access test r then [ r ] else []
+      | ids -> children_of access test ids)
   | Descendant_closure (op, test) -> (
-      match run a op with
+      match run access op with
       | [ -1 ] ->
-          let from_root =
-            if row_matches a test (R.Table.get a.nodes 0) then [ 0 ] else []
-          in
-          closure a test [ 0 ] from_root
-      | ids -> closure a test ids [])
-  | Attr_join (op, name, value) -> List.filter (attr_matches a name value) (run a op)
+          let r = root access in
+          closure access test [ r ] (if matches access test r then [ r ] else [])
+      | ids -> closure access test ids [])
+  | Attr_join (op, name, value) -> List.filter (attr_matches access name value) (run access op)
 
 (* --- vectorized execution ------------------------------------------------- *)
 
@@ -151,6 +196,13 @@ let vtest = function
   | Tag t -> R.Vec_ops.Tag (t : Symbol.t :> int)
   | Any_element -> R.Vec_ops.Star
 
+let attribute store id name =
+  match store with
+  | Heap s -> Backend_heap.attribute s id name
+  | Shredded s -> Backend_shredded.attribute s id name
+
+(* The op tree is a linear chain, so it flattens into the id-algebra
+   step list of {!Xmark_relational.Vec_ops}. *)
 let rec to_lsteps store = function
   | Document -> []
   | Child_join (op, test) -> to_lsteps store op @ [ R.Vec_ops.Child (vtest test) ]
@@ -162,12 +214,13 @@ let rec to_lsteps store = function
             {
               R.Vec_ops.sel_label = Printf.sprintf "@%s = %S" name value;
               sel_est = 0.1;
-              sel_fn = (fun id -> Backend_heap.attribute store id name = Some value);
+              sel_fn = (fun id -> attribute store id name = Some value);
             };
         ]
 
 let vec_plan plan =
-  match Backend_heap.vec plan.store with
+  let vec = match plan.store with Heap s -> Backend_heap.vec s | Shredded s -> Backend_shredded.vec s in
+  match vec with
   | None -> None
   | Some (adapter, _) -> (
       match to_lsteps plan.store plan.op with
@@ -180,30 +233,55 @@ let execute plan =
       Array.to_list (R.Vec_ops.execute adapter ~poll:Xmark_xquery.Cancel.poll vp)
   | None -> run (access plan.store) plan.op
 
+(* --- plan measures and rendering -------------------------------------------- *)
+
 let rec join_count = function
   | Document -> 0
-  | Child_join (op, _) -> 1 + join_count op
-  | Descendant_closure (op, _) -> 1 + join_count op
-  | Attr_join (op, _, _) -> 1 + join_count op
+  | Child_join (op, _) | Descendant_closure (op, _) | Attr_join (op, _, _) -> 1 + join_count op
 
 let join_count plan = join_count plan.op
 
-let test_to_string = function
+let relations_touched plan =
+  match plan.store with
+  | Heap _ -> join_count plan
+  | Shredded s ->
+      let catalog = List.length (Backend_shredded.element_tags s) in
+      let rec touched = function
+        | Document -> 0
+        | Child_join (op, Tag _) | Attr_join (op, _, _) -> 1 + touched op
+        | Child_join (op, Any_element) | Descendant_closure (op, _) -> catalog + touched op
+      in
+      touched plan.op
+
+(* System A: every step is a self-join of the one node relation. *)
+let rec render_heap = function
+  | Document -> "DOC"
+  | Child_join (op, test) ->
+      Printf.sprintf "(%s ⨝[parent=id] σ[%s] nodes)" (render_heap op) (heap_test test)
+  | Descendant_closure (op, test) ->
+      Printf.sprintf "(%s ⨝*[parent=id closure] σ[%s] nodes)" (render_heap op) (heap_test test)
+  | Attr_join (op, name, value) ->
+      Printf.sprintf "(%s ⨝[id=owner] σ[name='%s' ∧ value='%s'] attributes)" (render_heap op)
+        name value
+
+and heap_test = function
   | Tag t -> Printf.sprintf "tag='%s'" (Symbol.to_string t)
   | Any_element -> "kind=elem"
 
-let rec render = function
+(* System B: a named step joins its tag's own relation. *)
+let rec render_shredded = function
   | Document -> "DOC"
   | Child_join (op, test) ->
-      Printf.sprintf "(%s ⨝[parent=id] σ[%s] nodes)" (render op) (test_to_string test)
+      Printf.sprintf "(%s ⨝[parent=id] %s)" (render_shredded op) (shredded_test test)
   | Descendant_closure (op, test) ->
-      Printf.sprintf "(%s ⨝*[parent=id closure] σ[%s] nodes)" (render op) (test_to_string test)
+      Printf.sprintf "(%s ⨝*[closure over every relation] filter %s)" (render_shredded op)
+        (shredded_test test)
   | Attr_join (op, name, value) ->
-      Printf.sprintf "(%s ⨝[id=owner] σ[name='%s' ∧ value='%s'] attributes)" (render op) name value
+      Printf.sprintf "(%s ⨝[id=owner] σ[value='%s'] @%s)" (render_shredded op) value name
 
-let explain plan = render plan.op
+and shredded_test = function
+  | Tag t -> Symbol.to_string t
+  | Any_element -> "<every relation>"
 
-let explain_vec plan =
-  match vec_plan plan with
-  | None -> []
-  | Some (_, vp) -> R.Vec_ops.explain vp
+let explain plan =
+  match plan.store with Heap _ -> render_heap plan.op | Shredded _ -> render_shredded plan.op

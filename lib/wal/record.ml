@@ -34,6 +34,8 @@ let encode buf { lsn; op } =
       Codec.add_str buf auction;
       Codec.add_str buf date
 
+(* The cursor must end exactly at the payload's end; an unknown kind byte,
+   short input or trailing bytes raise [Corrupt]. *)
 let decode d =
   let lsn = Codec.i64 d in
   if lsn < 1 then Page_io.corrupt "wal record: bad lsn %d" lsn;

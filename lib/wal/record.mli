@@ -26,11 +26,6 @@ val encode : Buffer.t -> t -> unit
 (** Append the record payload (i64 lsn, u8 kind, fields) to a buffer.
     Framing (length + CRC) is the log's business, not the record's. *)
 
-val decode : Xmark_persist.Codec.decoder -> t
-(** Decode one record payload; the cursor must end exactly at its end.
-    @raise Xmark_persist.Page_io.Corrupt on an unknown kind byte, short
-    input, or trailing bytes. *)
-
 val decode_string : string -> t
 (** [decode] over a whole string (one framed payload). *)
 

@@ -5,12 +5,6 @@
     state alone, so re-applying the committed prefix in LSN order
     rebuilds the exact store the writer had published. *)
 
-val apply_all : Xmark_store.Updates.session -> Record.t list -> unit
-(** Apply records in list (= LSN) order.
-    @raise Xmark_store.Updates.Update_error if a record does not apply —
-    impossible for a log this process wrote against the matching base,
-    so callers may treat it as corruption. *)
-
 val of_snapshot :
   ?level:Xmark_store.Backend_mainmem.level ->
   string ->

@@ -46,6 +46,9 @@ let magic = "XMW\x01"
    An old-version peer gets a clean [Bad_version] instead of a
    confusing payload decode error mid-exchange. *)
 let version = 3
+
+(* far above any legitimate request or response, far below a
+   length-prefix memory bomb *)
 let max_payload = 16 * 1024 * 1024
 let header_len = 10
 

@@ -38,19 +38,6 @@ val error_name : error -> string
 (** Short stable label (["closed"], ["bad-magic"], ...) for histograms
     and corpus replay. *)
 
-val magic : string
-(** 4 bytes. *)
-
-val version : int
-(** Wire format version (3 since the payload vocabulary grew
-    scatter-gather sharding; 2 since it grew update
-    requests and the outcome-kind/epoch reply fields; 1 was the
-    read-only protocol).  Mixed-version peers get {!Bad_version}. *)
-
-val max_payload : int
-(** 16 MiB — far above any legitimate request or response, far below a
-    length-prefix memory bomb. *)
-
 val header_len : int
 (** Bytes before the payload (10). *)
 

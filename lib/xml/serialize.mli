@@ -11,14 +11,10 @@ val escape_attr : string -> string
 (** Escape ampersand, left angle bracket and double quote for a
     double-quoted attribute value. *)
 
-val to_buffer : ?indent:bool -> Buffer.t -> Dom.node -> unit
+val to_string : ?indent:bool -> Dom.node -> string
 (** Serialize a subtree.  With [indent], children of purely element-content
     nodes are placed on their own indented lines; mixed content is emitted
     verbatim so no whitespace is invented inside text. *)
-
-val to_string : ?indent:bool -> Dom.node -> string
-
-val to_channel : ?indent:bool -> out_channel -> Dom.node -> unit
 
 val fragment_to_string : Dom.node list -> string
 (** Serialize a node sequence without a surrounding element — the shape of

@@ -143,10 +143,6 @@ let of_int i =
 
 let equal (a : t) (b : t) = Int.equal a b
 
-let compare (a : t) (b : t) = Int.compare a b
-
-let hash (sym : t) = sym
-
 let count () = Array.length (Atomic.get names)
 
 let seeded_names () = seed_vocabulary

@@ -57,10 +57,6 @@ val of_int : int -> t
 
 val equal : t -> t -> bool
 
-val compare : t -> t -> int
-
-val hash : t -> int
-
 val count : unit -> int
 (** Number of symbols interned so far (seeded vocabulary included). *)
 

@@ -20,12 +20,6 @@ type content =
 
 type attr_decl = { aname : string; required : bool; is_id : bool; is_idref : bool }
 
-val inline : string list
-(** The inline markup tags ([bold], [keyword], [emph]). *)
-
-val auction_content : regexp * regexp
-(** Content models of [open_auction] and [closed_auction]. *)
-
 val elements : (string * content) list
 (** Content model of every declared element. *)
 

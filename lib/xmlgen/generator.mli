@@ -13,10 +13,6 @@
 
 val default_seed : int64
 
-val generate : ?seed:int64 -> factor:float -> Sink.t -> unit
-(** Stream one benchmark document into the sink.  Identical seed and
-    factor produce an identical document. *)
-
 val to_string : ?seed:int64 -> factor:float -> unit -> string
 
 val to_file : ?seed:int64 -> ?dtd:bool -> factor:float -> string -> unit

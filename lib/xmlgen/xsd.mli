@@ -7,8 +7,5 @@
     benchmark's content models ({!Content_model}) as a W3C XML Schema
     document: the second half of that provided schema information. *)
 
-val document : unit -> Xmark_xml.Dom.node
-(** The schema as an XML tree (root [xs:schema]). *)
-
 val text : unit -> string
 (** Serialized schema. *)

@@ -17,10 +17,6 @@ exception Cancelled of string
 let key : (unit -> unit) option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let install check = Domain.DLS.get key := Some check
-
-let clear () = Domain.DLS.get key := None
-
 let poll () =
   match !(Domain.DLS.get key) with None -> () | Some check -> check ()
 

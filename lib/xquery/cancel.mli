@@ -7,9 +7,8 @@
     plain benchmark runs are unaffected.
 
     The check is domain-local state: arm it on the domain that runs the
-    evaluation, and always within [with_check] (or a matching
-    [install]/[clear] pair) so it cannot leak into later requests served
-    by the same domain. *)
+    evaluation, and always within [with_check] so it cannot leak into
+    later requests served by the same domain. *)
 
 exception Cancelled of string
 (** Raised by a check to abort the evaluation in progress.  The payload
@@ -20,12 +19,6 @@ val with_check : (unit -> unit) -> (unit -> 'a) -> 'a
     domain, restoring the previous check on exit (normal or raised).
     [check] is called from {!poll} sites inside the evaluation and
     should raise {!Cancelled} to abort. *)
-
-val install : (unit -> unit) -> unit
-(** Arm a check on the current domain.  Prefer {!with_check}. *)
-
-val clear : unit -> unit
-(** Disarm the current domain's check. *)
 
 val poll : unit -> unit
 (** Called by the evaluator's iteration loops: runs the installed check

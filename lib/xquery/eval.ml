@@ -1633,6 +1633,4 @@ module Make (S : Store_sig.S) = struct
     in
     let ctx = { c; vars = []; citem = None; cpos = 0; csize = 0 } in
     List.map (item_to_dom ctx) v
-
-  let result_size v = List.length v
 end

@@ -66,5 +66,4 @@ module Make (S : Store_sig.S) : sig
   (** Materialize a result for serialization or cross-backend comparison:
       stored nodes are copied out, atomics become text nodes. *)
 
-  val result_size : value -> int
 end

@@ -1,31 +1,38 @@
 (* The relational path compiler must return exactly the nodes the
-   navigational evaluator returns — a second differential check, this time
-   between System A's two execution strategies (algebraic plan vs
-   navigation). *)
+   navigational evaluator returns — a differential check between each
+   relational store's two execution strategies (algebraic plan vs
+   navigation), run over both mappings. *)
 
 module HA = Xmark_store.Backend_heap
+module SB = Xmark_store.Backend_shredded
 module PC = Xmark_store.Path_compiler
 module EvA = Xmark_xquery.Eval.Make (HA)
+module EvB = Xmark_xquery.Eval.Make (SB)
 module Parser = Xmark_xquery.Parser
 module Ast = Xmark_xquery.Ast
 
 let doc = lazy (Xmark_xmlgen.Generator.to_string ~factor:0.003 ())
 
-let store = lazy (HA.load_string (Lazy.force doc))
+let heap = lazy (HA.load_string (Lazy.force doc))
+
+let shredded = lazy (SB.load_string (Lazy.force doc))
+
+let store_a () = PC.Heap (Lazy.force heap)
+
+let store_b () = PC.Shredded (Lazy.force shredded)
 
 let steps_of src =
   match Parser.parse_expr src with
   | Ast.Path (Ast.Root, steps) -> steps
   | _ -> Alcotest.failf "%s is not an absolute path" src
 
-let navigational src =
-  let s = Lazy.force store in
-  EvA.eval_string s src
-  |> List.filter_map (function EvA.N id -> Some id | _ -> None)
+let navigational store src =
+  match store with
+  | PC.Heap s -> EvA.eval_string s src |> List.filter_map (function EvA.N id -> Some id | _ -> None)
+  | PC.Shredded s ->
+      EvB.eval_string s src |> List.filter_map (function EvB.N id -> Some id | _ -> None)
 
-let compiled src =
-  let s = Lazy.force store in
-  PC.execute (PC.compile s (steps_of src))
+let compiled store src = PC.execute (PC.compile store (steps_of src))
 
 let paths_under_test =
   [
@@ -43,14 +50,33 @@ let paths_under_test =
     "/nothing/here";
   ]
 
-let test_matches_navigation () =
+(* --- both stores: same contract over each mapping ------------------------------ *)
+
+let test_matches_navigation store () =
+  let store = store () in
   List.iter
-    (fun src ->
-      Alcotest.(check (list int)) src (navigational src) (compiled src))
+    (fun src -> Alcotest.(check (list int)) src (navigational store src) (compiled store src))
     paths_under_test
 
+(* the scalar per-level joins behind [--no-vec] must agree too *)
+let test_scalar_matches_navigation store () =
+  let module V = Xmark_relational.Vec_ops in
+  let was = V.is_enabled () in
+  V.set_enabled false;
+  Fun.protect ~finally:(fun () -> V.set_enabled was) (test_matches_navigation store)
+
+let test_document_order store () =
+  let store = store () in
+  List.iter
+    (fun src ->
+      let ids = compiled store src in
+      Alcotest.(check bool) (src ^ " sorted") true (List.sort compare ids = ids))
+    paths_under_test
+
+(* --- System A: the edge model ---------------------------------------------------- *)
+
 let test_join_count () =
-  let s = Lazy.force store in
+  let s = store_a () in
   let plan = PC.compile s (steps_of "/site/people/person") in
   (* one join per step: the paper's point about path expressions on
      relational back-ends *)
@@ -59,7 +85,7 @@ let test_join_count () =
   Alcotest.(check int) "predicate adds a join" 4 (PC.join_count plan2)
 
 let test_explain () =
-  let s = Lazy.force store in
+  let s = store_a () in
   let text = PC.explain (PC.compile s (steps_of {|/site/people/person[@id = "person0"]|})) in
   List.iter
     (fun needle ->
@@ -72,7 +98,7 @@ let test_explain () =
     [ "DOC"; "tag='site'"; "tag='people'"; "tag='person'"; "attributes"; "value='person0'" ]
 
 let test_unsupported () =
-  let s = Lazy.force store in
+  let s = store_a () in
   let expect_unsupported src =
     match PC.compile s (steps_of src) with
     | exception PC.Unsupported _ -> ()
@@ -86,66 +112,48 @@ let test_unsupported () =
   Alcotest.(check bool) "compile_expr handles supported path" true
     (PC.compile_expr s (Parser.parse_expr "/site//item") <> None)
 
-let test_document_order () =
-  List.iter
-    (fun src ->
-      let ids = compiled src in
-      Alcotest.(check bool) (src ^ " sorted") true (List.sort compare ids = ids))
-    paths_under_test
-
-(* --- System B compiler: same contract over the fragmenting mapping ----------- *)
-
-module SB = Xmark_store.Backend_shredded
-module PB = Xmark_store.Path_compiler_b
-module EvB = Xmark_xquery.Eval.Make (SB)
-
-let store_b = lazy (SB.load_string (Lazy.force doc))
-
-let navigational_b src =
-  let s = Lazy.force store_b in
-  EvB.eval_string s src |> List.filter_map (function EvB.N id -> Some id | _ -> None)
-
-let compiled_b src =
-  let s = Lazy.force store_b in
-  PB.execute (PB.compile s (steps_of src))
-
-let test_b_matches_navigation () =
-  List.iter
-    (fun src -> Alcotest.(check (list int)) src (navigational_b src) (compiled_b src))
-    paths_under_test
+(* --- System B: the fragmenting mapping ------------------------------------------- *)
 
 let test_b_relations_touched () =
-  let s = Lazy.force store_b in
+  let s = store_b () in
   (* a fully specified path touches one relation per step... *)
-  let precise = PB.compile s (steps_of "/site/people/person") in
-  Alcotest.(check int) "one relation per named step" 3 (PB.relations_touched precise);
+  let precise = PC.compile s (steps_of "/site/people/person") in
+  Alcotest.(check int) "one relation per named step" 3 (PC.relations_touched precise);
   (* ...while a descendant step pays for the whole catalog *)
-  let fuzzy = PB.compile s (steps_of "/site//item") in
+  let fuzzy = PC.compile s (steps_of "/site//item") in
   Alcotest.(check bool) "descendant step touches many relations" true
-    (PB.relations_touched fuzzy > 20)
+    (PC.relations_touched fuzzy > 20)
 
 let test_b_same_ids_as_a () =
   (* both relational mappings number nodes in document pre-order, so the
-     two compilers must return identical id lists *)
+     two stores' plans must return identical id lists *)
+  let a = store_a () and b = store_b () in
   List.iter
-    (fun src -> Alcotest.(check (list int)) src (compiled src) (compiled_b src))
+    (fun src -> Alcotest.(check (list int)) src (compiled a src) (compiled b src))
     paths_under_test
 
 let () =
+  let t = Alcotest.test_case in
   Alcotest.run "path-compiler"
-    [
-      ( "compiler",
-        [
-          Alcotest.test_case "matches navigation" `Quick test_matches_navigation;
-          Alcotest.test_case "join count" `Quick test_join_count;
-          Alcotest.test_case "explain" `Quick test_explain;
-          Alcotest.test_case "unsupported fragments" `Quick test_unsupported;
-          Alcotest.test_case "document order" `Quick test_document_order;
-        ] );
-      ( "system-b",
-        [
-          Alcotest.test_case "matches navigation" `Quick test_b_matches_navigation;
-          Alcotest.test_case "relations touched" `Quick test_b_relations_touched;
-          Alcotest.test_case "agrees with system A compiler" `Quick test_b_same_ids_as_a;
-        ] );
-    ]
+    (List.map
+       (fun (group, store, specific) ->
+         ( group,
+           t "matches navigation" `Quick (test_matches_navigation store)
+           :: t "scalar matches navigation" `Quick (test_scalar_matches_navigation store)
+           :: t "document order" `Quick (test_document_order store)
+           :: specific ))
+       [
+         ( "compiler",
+           store_a,
+           [
+             t "join count" `Quick test_join_count;
+             t "explain" `Quick test_explain;
+             t "unsupported fragments" `Quick test_unsupported;
+           ] );
+         ( "system-b",
+           store_b,
+           [
+             t "relations touched" `Quick test_b_relations_touched;
+             t "agrees with system A compiler" `Quick test_b_same_ids_as_a;
+           ] );
+       ])

@@ -5,7 +5,7 @@
    the second run of a compiled query — and the Timing.measure_median
    contract. *)
 
-module Stats = Xmark_core.Stats
+module Stats = Xmark_stats
 module Runner = Xmark_core.Runner
 module Timing = Xmark_core.Timing
 

@@ -4,7 +4,7 @@
    statistics disabled.  Property-tested over (system, query) pairs. *)
 
 module Runner = Xmark_core.Runner
-module Stats = Xmark_core.Stats
+module Stats = Xmark_stats
 
 let factor = 0.002
 
