@@ -99,8 +99,8 @@ val throughput :
 (** Queries per second over the fixed mix (XMach-1's metric). *)
 
 val update_workload :
-  ?factor:float -> ?rounds:int -> unit -> (int * float * float * float) list
-(** Per round: (round, write ms, index-rebuild ms, query ms). *)
+  ?factor:float -> ?rounds:int -> unit -> (int * float * float) list
+(** Per round: (round, write ms, query ms). *)
 
 (* --- execution statistics (EXPLAIN ANALYZE) ---------------------------------- *)
 

@@ -13,9 +13,10 @@ module Stats = Xmark_stats
    snapshot isolation by construction, no read locks anywhere.
 
    Writes (servers created with [create_writable]): serialized through
-   [write_lock]; each commit applies to the writer's private tree,
-   appends + fsyncs the WAL record, then publishes a freshly built
-   immutable session as the next epoch via one atomic store.  The plan
+   [write_lock]; each commit derives the writer's next immutable store
+   from the current one (path copying, in time proportional to the
+   update), appends + fsyncs the WAL record, then publishes that store
+   as the next epoch via one atomic store.  The plan
    cache is per-epoch — prepared plans are bound to the store they were
    compiled against, so reusing them across epochs would answer from
    the wrong store.  A retiring epoch's cache stats are folded into
@@ -366,20 +367,20 @@ let commit_update ?deadline_ms t w u =
       end
       else begin
         (* [Mutex.protect] so the write lock survives anything the body
-           raises — [Writer.publish] deep-copies and reindexes the whole
-           tree (it can run out of memory), and [Writer.commit] may leak
-           an exception [Updates] does not own.  The exception arm below
-           releases the admission slot for the same reason: a failed
-           commit must never wedge the write path. *)
+           raises — [Writer.commit] may leak an exception [Updates] does
+           not own (running out of memory included).  The exception arm
+           below releases the admission slot for the same reason: a
+           failed commit must never wedge the write path. *)
         match
           Mutex.protect t.write_lock (fun () ->
               match Writer.commit w u with
               | Error e -> Error e
               | Ok (lsn, assigned) ->
-                  (* if publish raises here, the record is durable but
-                     unpublished: the client sees [Failed], readers keep
-                     the old epoch, and the next successful commit's
-                     publish (or a restart replay) carries the change *)
+                  (* if anything raises from here on, the record is
+                     durable but unpublished: the client sees [Failed],
+                     readers keep the old epoch, and the next successful
+                     commit's publish (or a restart replay) carries the
+                     change *)
                   let session' = Writer.publish w in
                   let old = Atomic.get t.current in
                   let retired = Plan_cache.stats old.ep_cache in

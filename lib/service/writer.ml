@@ -1,6 +1,5 @@
 module Runner = Xmark_core.Runner
 module Updates = Xmark_store.Updates
-module Dom = Xmark_xml.Dom
 module Snapshot = Xmark_persist.Snapshot
 module Crc32 = Xmark_persist.Crc32
 module Page_io = Xmark_persist.Page_io
@@ -9,7 +8,7 @@ module Log = Xmark_wal.Log
 module Replay = Xmark_wal.Replay
 
 type t = {
-  master : Updates.session;  (* the only mutable tree; never escapes *)
+  master : Updates.session;  (* the writer's session; its stores are the epochs *)
   base : string;  (* path of the base snapshot under the wal dir *)
   log_path : string;
   mutable log : Log.t;  (* replaced wholesale by [checkpoint] *)
@@ -49,6 +48,10 @@ let file_len_crc path =
       let s = really_input_string ic len in
       (len, Crc32.digest s))
 
+let fsync_path path =
+  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd)
+
 let open_dir ?(level = `Full) ~dir ~bootstrap () =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   let base = Filename.concat dir "base.xms" in
@@ -69,6 +72,8 @@ let open_dir ?(level = `Full) ~dir ~bootstrap () =
   else begin
     let root = bootstrap () in
     Snapshot.write ~path:base ~system:(char_of_level level) (Snapshot.Dom root);
+    fsync_path base;
+    fsync_path dir;
     let base_len, base_crc = file_len_crc base in
     (* the master is the snapshot read back, not the bootstrap tree:
        recovery replays onto the decoded snapshot, so the writer must
@@ -115,21 +120,20 @@ let commit t u =
                   t.poisoned <- Some msg;
                   Error (Protocol.Failed ("wal append failed: " ^ msg)))))
 
-let publish t =
-  let root = Dom.deep_copy (Updates.root t.master) in
-  ignore (Dom.index root);
-  let store = Xmark_store.Backend_mainmem.create ~level:(Updates.level t.master) root in
-  Runner.adopt_mainmem store
+let publish t = Runner.adopt_mainmem (Updates.store t.master)
 
 let last_lsn t = Log.last_lsn t.log
 
 (* Fold the log into a fresh base: the master tree (base + every
    committed record) becomes the new snapshot, and the log restarts
-   empty, bound to it.  Step order — tmp snapshot, rename over base,
-   recreate log — makes every step atomic; a crash between the last
-   two leaves a new base beside a log bound to the old one, which the
-   next [open_dir] refuses as the typed [Corrupt] (detection, never a
-   silent wrong replay). *)
+   empty, bound to it.  Step order — tmp snapshot, fsync it, rename
+   over base, fsync the directory, recreate log — makes every step
+   atomic and durable: the rename never publishes a base whose bytes
+   are not on disk, and the directory entry it makes survives a power
+   cut before the old log is dropped.  A crash between the rename and
+   the log restart leaves a new base beside a log bound to the old
+   one, which the next [open_dir] refuses as the typed [Corrupt]
+   (detection, never a silent wrong replay). *)
 let checkpoint t =
   match t.poisoned with
   | Some msg ->
@@ -142,7 +146,9 @@ let checkpoint t =
         Snapshot.write ~path:tmp
           ~system:(char_of_level (Updates.level t.master))
           (Snapshot.Dom (Updates.root t.master));
+        fsync_path tmp;
         Sys.rename tmp t.base;
+        fsync_path (Filename.dirname t.base);
         Log.close t.log;
         let base_len, base_crc = file_len_crc t.base in
         t.log <- Log.create ~path:t.log_path ~base_len ~base_crc;
@@ -154,24 +160,7 @@ let checkpoint t =
           t.poisoned <- Some msg;
           Error (Protocol.Failed ("checkpoint failed: " ^ msg)))
 
-let max_id_suffix root prefix =
-  let plen = String.length prefix in
-  let best = ref (-1) in
-  Dom.iter
-    (fun n ->
-      match Dom.attr n "id" with
-      | Some id when String.length id > plen && String.sub id 0 plen = prefix
-        -> (
-          match int_of_string_opt (String.sub id plen (String.length id - plen)) with
-          | Some k -> best := max !best k
-          | None -> ())
-      | _ -> ())
-    root;
-  !best
-
-let write_targets t =
-  let root = Updates.root t.master in
-  (max_id_suffix root "open_auction" + 1, max_id_suffix root "person" + 1)
+let write_targets t = Updates.id_bounds t.master
 
 let digest_of_session session n =
   let outcome = Runner.run_session session n in

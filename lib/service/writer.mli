@@ -1,22 +1,23 @@
-(** The single writer: one private mutable tree, a WAL, and epoch
+(** The single writer: an update session, a WAL, and epoch
     publication.
 
-    A writer owns the only mutable copy of the document — an
-    {!Xmark_store.Updates.session} reconstructed from the base snapshot
-    (plus WAL replay on reopen), never shared with readers.  Each
-    {!commit} validates and applies one update to that tree, then
-    appends the record to the log and fsyncs before acknowledging.
-    {!publish} turns the tree into a fresh {e immutable} store (deep
-    copy, reindex, rebuild) for the server to install as the next
-    epoch — in-flight readers keep the store they started with, which
-    is the whole isolation story.
+    A writer owns the write path's {!Xmark_store.Updates.session},
+    reconstructed from the base snapshot (plus WAL replay on reopen).
+    Each {!commit} validates and applies one update, which derives the
+    session's next immutable store from the current one by path copying
+    — only the elements from the root to the change are new, everything
+    else is shared — then appends the record to the log and fsyncs
+    before acknowledging.  {!publish} hands the current store to the
+    server as the next epoch without copying anything; in-flight readers
+    keep the store they started with, which never changes, and that is
+    the whole isolation story.
 
     Commit ordering: apply first, log second.  [Updates] validates
-    completely before its first mutation, so a rejected update touches
-    neither tree nor log; a crash between apply and fsync loses only an
-    {e unacknowledged} commit (the client never saw an LSN).  If the
-    disk write itself fails the in-memory tree is ahead of the log and
-    the writer poisons itself: every later commit is refused, because
+    completely before the session changes, so a rejected update touches
+    neither session nor log; a crash between apply and fsync loses only
+    an {e unacknowledged} commit (the client never saw an LSN).  If the
+    disk write itself fails the session is ahead of the log and the
+    writer poisons itself: every later commit is refused, because
     acknowledging anything after a lost write would break replay. *)
 
 type t
@@ -35,7 +36,8 @@ val open_dir :
   t * recovery_info
 (** Open (or initialize) the write state under [dir].  Fresh directory:
     [bootstrap ()] supplies the document, which is written to
-    [dir/base.xms] and {e read back} — the master tree is always the
+    [dir/base.xms] (fsynced, with the directory) and {e read back} —
+    the writer's session always starts from the
     decoded snapshot, so recovery replays onto byte-identical ground —
     then [dir/wal.log] is created bound to the base file's length and
     CRC.  Existing directory: the base is restored, the log is opened
@@ -53,19 +55,18 @@ val commit : t -> Protocol.update -> (int * string option, Protocol.error) resul
     Not thread-safe: the server serializes commits. *)
 
 val publish : t -> Xmark_core.Runner.session
-(** Build a fresh immutable session from the current tree.  Expensive
-    (full deep copy + reindex + store build) and called once per
-    commit — the price of giving readers plain immutable stores. *)
+(** The current store as a query session.  Constant time: the store
+    was derived by {!commit} and is never written again. *)
 
 val last_lsn : t -> int
 (** LSN of the last durable record; [0] for a fresh log.  Doubles as
     the epoch number of the store {!publish} would build. *)
 
 val checkpoint : t -> (int, Protocol.error) result
-(** Compact the write state: write the master tree (base plus every
-    committed record) as a fresh base snapshot — temp file, then an
-    atomic rename over [base.xms] — and restart the log empty, bound
-    to the new base.  [Ok n] is the number of records folded away;
+(** Compact the write state: write the current tree (base plus every
+    committed record) as a fresh base snapshot — temp file, fsync, an
+    atomic rename over [base.xms], fsync of the directory — and restart
+    the log empty, bound to the new base.  [Ok n] is the number of records folded away;
     {!last_lsn} is 0 afterwards and recovery replays nothing, yet the
     reopened state answers every query with the digests the
     pre-checkpoint state had.  A crash between the rename and the log
@@ -77,10 +78,12 @@ val checkpoint : t -> (int, Protocol.error) result
 
 val write_targets : t -> int * int
 (** [(n_auctions, n_persons)] id-space bounds for workload writes —
-    one past the highest ["open_auction<i>"] / ["person<i>"] suffix in
-    the current tree.  Auctions closed earlier leave holes below the
-    bound; a generator drawing from it simply collects some typed
-    [Auction_closed] rejections, which a mixed workload expects. *)
+    {!Xmark_store.Updates.id_bounds}: one past the highest
+    ["open_auction<i>"] suffix of the opened document and one past the
+    highest ["person<i>"] suffix registered so far.  Constant time.
+    Auctions closed earlier leave holes below the bound; a generator
+    drawing from it simply collects some typed [Auction_closed]
+    rejections, which a mixed workload expects. *)
 
 val digest_of_session : Xmark_core.Runner.session -> int -> string
 (** md5 hex of benchmark query [n]'s canonical answer on a session —

@@ -6,52 +6,66 @@ type level = [ `Full | `Id_only | `Plain ]
 
 type node = Dom.node
 
+module IMap = Map.Make (Int)
+module SMap = Map.Make (String)
+
 type t = {
   root : Dom.node;
   lvl : level;
   ids : (string, Dom.node) Hashtbl.t option;
+      (* the ID index of the load; never written afterwards, so every
+         epoch derived from this store shares it *)
+  id_delta : Dom.node option SMap.t;
+      (* changes since the load: the id's current element, or [None]
+         once it left the document *)
   tags : Dom.node list array option;
-      (* symbol-indexed extents in document order; shorter than the
-         symbol table only when tags were interned after the load *)
-  subtree_end : int array option;  (* indexed by order: exclusive end of subtree *)
+      (* symbol-indexed extents of the load in document order; shorter
+         than the symbol table only when tags were interned after it *)
+  tag_delta : Dom.node option IMap.t IMap.t;
+      (* tag -> order -> the element now at that order ([None]: gone) *)
+  versions : Dom.node IMap.t;
+      (* order -> current version of every element an epoch replaced;
+         shared nodes still point at the version they were built under *)
+  merged : (int, Dom.node list) Hashtbl.t;
+      (* extents of the tags [tag_delta] touches, merged on first use *)
+  ext_lock : Mutex.t;
   bytes : int;
   nodes : int;
   keyword_indexes : (Symbol.t, (string, Dom.node list) Hashtbl.t) Hashtbl.t;
       (* per-tag inverted index over string values; built lazily (System D's
          optional full-text access path, paper Section 6.9) *)
   kw_lock : Mutex.t;
-      (* guards the lazy build: the only mutation a loaded store performs
-         on its query path, so this lock is what makes a store shareable
-         across the query service's domains *)
+      (* guards the lazy build: with [ext_lock], the only mutation a
+         store performs on its query path, so these locks are what make
+         a store shareable across the query service's domains *)
 }
 
-let estimate_bytes root =
-  Dom.fold
-    (fun acc n ->
-      match n.Dom.desc with
-      | Dom.Text s -> acc + 24 + String.length s
-      | Dom.Element e ->
-          ignore e.Dom.name;  (* interned: one immediate word, in the 64 *)
-          acc + 64
-          + List.fold_left (fun a (k, v) -> a + 32 + String.length k + String.length v) 0 e.Dom.attrs)
-    0 root
+let node_bytes n =
+  match n.Dom.desc with
+  | Dom.Text s -> 24 + String.length s
+  | Dom.Element e ->
+      (* the tag is interned: one immediate word, in the 64 *)
+      64 + List.fold_left (fun a (k, v) -> a + 32 + String.length k + String.length v) 0 e.Dom.attrs
 
-let create ~level root =
+let estimate_bytes root = Dom.fold (fun acc n -> acc + node_bytes n) 0 root
+
+let create ?id_index ~level root =
   if root.Dom.order < 0 then ignore (Dom.index root);
   let nodes = Dom.size root in
+  let id_index = Option.value id_index ~default:(level <> `Plain) in
   let ids =
-    match level with
-    | `Plain -> None
-    | `Full | `Id_only ->
-        let h = Hashtbl.create 4096 in
-        Dom.iter
-          (fun n -> match Dom.attr n "id" with Some id -> Hashtbl.replace h id n | None -> ())
-          root;
-        Some h
+    if not id_index then None
+    else begin
+      let h = Hashtbl.create 4096 in
+      Dom.iter
+        (fun n -> match Dom.attr n "id" with Some id -> Hashtbl.replace h id n | None -> ())
+        root;
+      Some h
+    end
   in
-  let tags, subtree_end =
+  let tags =
     match level with
-    | `Plain | `Id_only -> (None, None)
+    | `Plain | `Id_only -> None
     | `Full ->
         (* every tag in the document is already interned, so the symbol
            count bounds the extent array *)
@@ -63,22 +77,12 @@ let create ~level root =
               Array.unsafe_set extents tag (n :: Array.unsafe_get extents tag)
             end)
           root;
-        let sorted = Array.map List.rev extents in
-        (* subtree spans: node with order o covers [o, o + size) *)
-        let ends = Array.make nodes 0 in
-        let rec span n =
-          let last =
-            List.fold_left (fun _ c -> span c) (n.Dom.order + 1) (Dom.children n)
-          in
-          let hi = max last (n.Dom.order + 1) in
-          ends.(n.Dom.order) <- hi;
-          hi
-        in
-        ignore (span root);
-        (Some sorted, Some ends)
+        Some (Array.map List.rev extents)
   in
-  { root; lvl = level; ids; tags; subtree_end; bytes = estimate_bytes root; nodes;
-    keyword_indexes = Hashtbl.create 4; kw_lock = Mutex.create () }
+  { root; lvl = level; ids; id_delta = SMap.empty; tags; tag_delta = IMap.empty;
+    versions = IMap.empty; merged = Hashtbl.create 1; ext_lock = Mutex.create ();
+    bytes = estimate_bytes root; nodes; keyword_indexes = Hashtbl.create 4;
+    kw_lock = Mutex.create () }
 
 let of_string ~level s = create ~level (Xmark_xml.Sax.parse_string s)
 
@@ -99,7 +103,14 @@ let children _ n =
   if Stats.enabled () then Stats.incr ~by:(List.length cs) "nodes_scanned";
   cs
 
-let parent _ (n : node) = n.Dom.parent
+(* A shared node keeps the parent pointer it was built with; the
+   epoch's [versions] map names that parent's current version.  A
+   bulkloaded store has an empty map. *)
+let parent t (n : node) =
+  match n.Dom.parent with
+  | Some p as some when not (IMap.is_empty t.versions) -> (
+      match IMap.find_opt p.Dom.order t.versions with Some v -> Some v | None -> some)
+  | p -> p
 
 let attributes _ (n : node) =
   match n.Dom.desc with Dom.Element e -> e.Dom.attrs | Dom.Text _ -> []
@@ -110,31 +121,60 @@ let order _ (n : node) = n.Dom.order
 
 let string_value _ n = Dom.string_value n
 
+let find_id t id =
+  match SMap.find_opt id t.id_delta with
+  | Some hit -> hit
+  | None -> ( match t.ids with Some h -> Hashtbl.find_opt h id | None -> None)
+
 let id_lookup t id =
-  match t.ids with
-  | None -> None
-  | Some h ->
+  match (t.lvl, t.ids) with
+  | `Plain, _ | _, None -> None
+  | (`Full | `Id_only), Some _ ->
       Stats.incr "index_lookups";
-      let hit = Hashtbl.find_opt h id in
+      let hit = find_id t id in
       if hit <> None then Stats.incr "index_hits";
       Some hit
+
+(* The load's extent with an epoch's changes applied: one merge of two
+   order-sorted sequences. *)
+let merge base delta =
+  let rec go acc base delta =
+    match (base, delta) with
+    | _, [] -> List.rev_append acc base
+    | [], (_, v) :: ds -> go (push acc v) [] ds
+    | (b : node) :: bs, (o, v) :: ds ->
+        if b.Dom.order < o then go (b :: acc) bs delta
+        else if b.Dom.order = o then go (push acc v) bs ds
+        else go (push acc v) base ds
+  and push acc = function Some n -> n :: acc | None -> acc in
+  go [] base (IMap.bindings delta)
 
 let tag_nodes t tag =
   match t.tags with
   | None -> None
-  | Some extents ->
+  | Some extents -> (
       Stats.incr "summary_consultations";
       let i = (tag : Symbol.t :> int) in
-      Some (if i < Array.length extents then extents.(i) else [])
+      let base = if i < Array.length extents then extents.(i) else [] in
+      match IMap.find_opt i t.tag_delta with
+      | None -> Some base
+      | Some delta ->
+          Mutex.protect t.ext_lock (fun () ->
+              match Hashtbl.find_opt t.merged i with
+              | Some l -> Some l
+              | None ->
+                  let l = merge base delta in
+                  Hashtbl.replace t.merged i l;
+                  Some l))
 
 let tag_count t tag = Option.map List.length (tag_nodes t tag)
 
 let subtree_interval t (n : node) =
-  match t.subtree_end with
-  | None -> None
-  | Some ends ->
+  match t.lvl with
+  | `Plain | `Id_only -> None
+  | `Full ->
       Stats.incr "summary_consultations";
-      Some (n.Dom.order, ends.(n.Dom.order))
+      Some (n.Dom.order, n.Dom.subtree_end)
 
 (* Tokens are maximal alphanumeric runs, lowercased. *)
 let tokens s =
@@ -194,8 +234,9 @@ let keyword_search t ~tag ~word =
       if hits <> [] then Stats.incr "index_hits";
       Some hits
 
-(* Node handles are pointers into a mutable DOM (the write path updates
-   them in place), so there is no stable id algebra to vectorize over. *)
+(* Node handles are pointers, and an epoch of the write path numbers
+   its nodes with gaps, so there is no dense id algebra to vectorize
+   over. *)
 let vec _ = None
 
 let size_bytes t = t.bytes
@@ -207,3 +248,78 @@ let description t =
   | `Full -> "main-memory DOM + structural summary + ID index (System D)"
   | `Id_only -> "main-memory DOM + ID index (System E)"
   | `Plain -> "main-memory DOM, navigation only (System F)"
+
+(* --- epochs ---------------------------------------------------------------- *)
+
+type change = {
+  new_root : Dom.node;
+  replaced : (Dom.node * Dom.node) list;
+  added : Dom.node list;
+  removed : Dom.node list;
+}
+
+let derive t c =
+  let ids = ref t.id_delta and tags = ref t.tag_delta and versions = ref t.versions in
+  let bytes = ref t.bytes and nodes = ref t.nodes in
+  let touched = Hashtbl.create 8 in
+  let note_tag n v =
+    let tag = (Dom.name_sym n :> int) in
+    Hashtbl.replace touched tag ();
+    if t.tags <> None then
+      tags :=
+        IMap.update tag
+          (fun d -> Some (IMap.add n.Dom.order v (Option.value d ~default:IMap.empty)))
+          !tags
+  in
+  let note_id n v =
+    match Dom.attr n "id" with
+    | Some id when t.ids <> None -> ids := SMap.add id v !ids
+    | Some _ | None -> ()
+  in
+  (* removals first: a replacement or insertion may reuse their orders *)
+  List.iter
+    (Dom.iter (fun n ->
+         bytes := !bytes - node_bytes n;
+         decr nodes;
+         if Dom.is_element n then begin
+           note_tag n None;
+           note_id n None;
+           versions := IMap.remove n.Dom.order !versions
+         end))
+    c.removed;
+  List.iter
+    (fun (old, n) ->
+      bytes := !bytes + node_bytes n - node_bytes old;
+      note_id old None;
+      note_tag n (Some n);
+      note_id n (Some n);
+      versions := IMap.add n.Dom.order n !versions)
+    c.replaced;
+  List.iter
+    (Dom.iter (fun n ->
+         bytes := !bytes + node_bytes n;
+         incr nodes;
+         if Dom.is_element n then begin
+           note_tag n (Some n);
+           note_id n (Some n)
+         end))
+    c.added;
+  (* what the previous epoch computed lazily stays valid for every tag
+     none of whose elements changed *)
+  let carry lock tbl key =
+    let out = Hashtbl.create (max 1 (Hashtbl.length tbl)) in
+    Mutex.protect lock (fun () ->
+        Hashtbl.iter (fun k v -> if not (Hashtbl.mem touched (key k)) then Hashtbl.replace out k v) tbl);
+    out
+  in
+  { t with
+    root = c.new_root;
+    id_delta = !ids;
+    tag_delta = !tags;
+    versions = !versions;
+    merged = carry t.ext_lock t.merged Fun.id;
+    ext_lock = Mutex.create ();
+    bytes = !bytes;
+    nodes = !nodes;
+    keyword_indexes = carry t.kw_lock t.keyword_indexes (fun (k : Symbol.t) -> (k :> int));
+    kw_lock = Mutex.create () }

@@ -21,11 +21,14 @@ let fault_to_string = function
 let fail f = raise (Update_error f)
 let err fmt = Printf.ksprintf (fun s -> fail (Invalid s)) fmt
 
+module MM = Backend_mainmem
+
 type session = {
-  root : Dom.node;
-  level : Backend_mainmem.level;
-  mutable cache : Backend_mainmem.t option;  (* None = mutations pending *)
-  mutable person_counter : int;
+  mutable store : MM.t;  (* the current epoch; replaced, never written, per update *)
+  mutable persons : int;  (* highest person<i> suffix; the next register takes i+1 *)
+  auctions : int;
+      (* highest open_auction<i> suffix of the opened document: no update
+         creates auctions, so this is a high-water mark *)
   closed_ids : (string, unit) Hashtbl.t;
       (* ids moved to closed_auctions this session; closed_auction elements
          carry no id attribute, so the distinction between "never existed"
@@ -39,69 +42,136 @@ let require_section root tag =
   | Some s -> s
   | None -> fail (Missing_section tag)
 
-let max_person_suffix root =
-  let best = ref (-1) in
-  Dom.iter
-    (fun n ->
-      if Dom.name n = "person" then
-        match Dom.attr n "id" with
-        | Some id when String.length id > 6 && String.sub id 0 6 = "person" -> (
-            match int_of_string_opt (String.sub id 6 (String.length id - 6)) with
-            | Some k -> best := max !best k
-            | None -> ())
-        | _ -> ())
-    root;
-  !best
+let suffix prefix id =
+  let plen = String.length prefix in
+  if String.length id > plen && String.sub id 0 plen = prefix then
+    int_of_string_opt (String.sub id plen (String.length id - plen))
+  else None
 
+(* The gap numbering: orders step by [stride], so [stride - 1] free
+   orders follow every node of the opened document, and the region past
+   the last node runs up to [max_int].  Inserted subtrees are numbered
+   consecutively from the start of a gap, so appends at one spot use it
+   up linearly; at half the int range spread over the document the gap
+   outlasts any realistic run of commits. *)
 let open_session ?(level = `Full) root =
   if Dom.name root <> "site" then err "not a benchmark document (root is <%s>)" (Dom.name root);
-  {
+  ignore (Dom.index ~stride:(max 2 (max_int / 2 / (Dom.size root + 1))) root);
+  let persons = ref (-1) and auctions = ref (-1) in
+  let bump best prefix id =
+    match suffix prefix id with Some k -> best := max !best k | None -> ()
+  in
+  Dom.iter
+    (fun n ->
+      match Dom.attr n "id" with
+      | Some id when Dom.name n = "person" -> bump persons "person" id
+      | Some id when Dom.name n = "open_auction" -> bump auctions "open_auction" id
+      | Some _ | None -> ())
     root;
-    level;
-    cache = None;
-    person_counter = max_person_suffix root;
+  {
+    store = MM.create ~id_index:true ~level root;
+    persons = !persons;
+    auctions = !auctions;
     closed_ids = Hashtbl.create 64;
   }
 
 let of_string ?level s = open_session ?level (Xmark_xml.Sax.parse_string s)
-let root t = t.root
-let level t = t.level
-let invalidate t = t.cache <- None
+let store t = t.store
+let root t = MM.dom_root t.store
+let level t = MM.level t.store
+let id_bounds t = (t.auctions + 1, t.persons + 1)
 
-let store t =
-  match t.cache with
-  | Some s -> s
-  | None ->
-      ignore (Dom.index t.root);
-      let s = Backend_mainmem.create ~level:t.level t.root in
-      t.cache <- Some s;
-      s
+let find_by_id t id = MM.find_id t.store id
 
-let pending t = t.cache = None
+(* --- path copying ----------------------------------------------------------- *)
 
-(* Locate the element carrying a given id.  Uses the current store's ID
-   index when it is clean; falls back to a scan on a dirty tree. *)
-let find_by_id t id =
-  match t.cache with
-  | Some s when Backend_mainmem.id_lookup s id <> None -> (
-      match Backend_mainmem.id_lookup s id with Some hit -> hit | None -> None)
-  | _ ->
-      let found = ref None in
-      Dom.iter (fun n -> if Dom.attr n "id" = Some id then found := Some n) t.root;
-      !found
+(* Nothing below writes a node the current store can reach: changed
+   elements get new versions ({!Dom.version}), and only fields of those
+   and of freshly built nodes are set. *)
+
+(* The ancestors of [n] in the current epoch, nearest first. *)
+let ancestors t n =
+  let rec up acc n =
+    match MM.parent t.store n with Some p -> up (p :: acc) p | None -> List.rev acc
+  in
+  up [] n
+
+(* The first order past [n]'s subtree that another node owns: the order
+   of the next node in document order outside [n]'s subtree, [max_int]
+   when there is none.  [ancs] are [n]'s ancestors, nearest first. *)
+let rec upper ancs n =
+  match ancs with
+  | [] -> max_int
+  | p :: rest ->
+      let rec next = function
+        | c :: (s :: _) when c == n -> Some s
+        | _ :: cs -> next cs
+        | [] -> None
+      in
+      (match next (Dom.children p) with Some s -> s.Dom.order | None -> upper rest p)
+
+(* Number a fresh subtree consecutively from [lo], below [hi]. *)
+let place fresh ~lo ~hi =
+  let k = Dom.index ~first:lo fresh in
+  if k > hi - lo then err "no document-order gap left at this position"
+
+(* A new version of [p] with [children].  [fresh] lists the children
+   this update built, which take the version as parent; shared children
+   keep theirs (the epoch's version map resolves it). *)
+let version ?(fresh = []) p children =
+  let subtree_end =
+    List.fold_left (fun e c -> max e c.Dom.subtree_end) p.Dom.subtree_end fresh
+  in
+  let p' = Dom.version p ~children ~subtree_end in
+  List.iter (fun c -> c.Dom.parent <- Some p') fresh;
+  p'
+
+(* [l] with [x] replaced by [y]: the cells before [x] are copied, the
+   ones after it shared. *)
+let replace x y l =
+  let rec go acc = function
+    | c :: rest when c == x -> List.rev_append acc (y :: rest)
+    | c :: rest -> go (c :: acc) rest
+    | [] -> l
+  in
+  go [] l
+
+(* New versions of [n]'s ancestors, given [n]'s new version [n'].
+   Returns the new root and every [(old, new)] pair, [(n, n')]
+   included. *)
+let rebuild ancs n n' =
+  List.fold_left
+    (fun (n, n', pairs) p ->
+      let p' = version ~fresh:[ n' ] p (replace n n' (Dom.children p)) in
+      (p, p', (p, p') :: pairs))
+    (n, n', [ (n, n') ])
+    ancs
+  |> fun (_, root', pairs) -> (root', pairs)
+
+let advance t ~root ~replaced ~added ~removed =
+  if Xmark_stats.enabled () then
+    Xmark_stats.incr
+      ~by:(List.length replaced + List.fold_left (fun a n -> a + Dom.size n) 0 added)
+      "nodes_built";
+  t.store <- MM.derive t.store { MM.new_root = root; replaced; added; removed }
+
+(* --- the three updates ------------------------------------------------------ *)
 
 let register_person t ~name ~email =
-  let people = require_section t.root "people" in
-  t.person_counter <- t.person_counter + 1;
-  let id = Printf.sprintf "person%d" t.person_counter in
+  let site = root t in
+  let people = require_section site "people" in
+  let id = Printf.sprintf "person%d" (t.persons + 1) in
   let person =
     Dom.element ~attrs:[ ("id", id) ]
       ~children:[ Dom.element ~children:[ Dom.text name ] "name";
                   Dom.element ~children:[ Dom.text email ] "emailaddress" ]
       "person"
   in
-  Dom.append people person;
-  invalidate t;
+  place person ~lo:people.Dom.subtree_end ~hi:(upper [ site ] people);
+  let people' = version ~fresh:[ person ] people (Dom.children people @ [ person ]) in
+  let root', replaced = rebuild [ site ] people people' in
+  advance t ~root:root' ~replaced ~added:[ person ] ~removed:[];
+  t.persons <- t.persons + 1;
   id
 
 let leaf_value n tag =
@@ -109,13 +179,18 @@ let leaf_value n tag =
   | Some c -> Dom.string_value c
   | None -> err "<%s> missing inside <%s>" tag (Dom.name n)
 
-let set_leaf n tag value =
-  match child_el n tag with
-  | Some c ->
-      c.Dom.desc <-
-        Dom.Element
-          { name = Xmark_xml.Symbol.intern tag; attrs = []; children = [ Dom.text value ] }
-  | None -> err "<%s> missing inside <%s>" tag (Dom.name n)
+(* A version of leaf element [c] holding just the text [value]; the
+   text's parent is the new version.  The text takes the first order
+   inside [c], which [c]'s old children release or the gap after a
+   childless [c] provides. *)
+let set_leaf ancs c value =
+  let text = Dom.text value in
+  let o = c.Dom.order + 1 in
+  if Dom.children c = [] && o >= upper ancs c then
+    err "no document-order gap left at this position";
+  text.Dom.order <- o;
+  text.Dom.subtree_end <- o + 1;
+  (version ~fresh:[ text ] c [ text ], text)
 
 let money f = Printf.sprintf "%.2f" f
 
@@ -131,10 +206,15 @@ let place_bid t ~auction ~person ~increase ~date ~time =
   (match find_by_id t person with
   | Some n when Dom.name n = "person" -> ()
   | Some _ | None -> fail (Unknown_person person));
-  (* validate everything — including the current price — before the first
-     mutation, so a raised Update_error leaves the tree untouched *)
+  (* validate everything — including the current price — before the
+     store changes, so a raised Update_error leaves the session as it was *)
+  let cur =
+    match child_el oa "current" with
+    | Some c -> c
+    | None -> err "<current> missing inside <open_auction>"
+  in
   let current =
-    match float_of_string_opt (leaf_value oa "current") with
+    match float_of_string_opt (Dom.string_value cur) with
     | Some v -> v
     | None -> err "auction %s has a non-numeric <current>" auction
   in
@@ -150,18 +230,24 @@ let place_bid t ~auction ~person ~increase ~date ~time =
       "bidder"
   in
   (* DTD order: bidders sit between initial/reserve and current *)
-  (match oa.Dom.desc with
-  | Dom.Element e ->
-      let before, after =
-        List.partition
-          (fun c -> List.mem (Dom.name c) [ "initial"; "reserve"; "bidder" ])
-          e.Dom.children
-      in
-      e.Dom.children <- before @ [ bidder ] @ after;
-      bidder.Dom.parent <- Some oa
-  | Dom.Text _ -> assert false);
-  set_leaf oa "current" (money (current +. increase));
-  invalidate t
+  let rec split before = function
+    | c :: rest when List.mem (Dom.name c) [ "initial"; "reserve"; "bidder" ] ->
+        split (c :: before) rest
+    | after -> (before, after)
+  in
+  let rev_before, after = split [] (Dom.children oa) in
+  let ancs = ancestors t oa in
+  let lo = match rev_before with last :: _ -> last.Dom.subtree_end | [] -> oa.Dom.order + 1 in
+  let hi = match after with next :: _ -> next.Dom.order | [] -> upper ancs oa in
+  place bidder ~lo ~hi;
+  let cur', text = set_leaf (oa :: ancs) cur (money (current +. increase)) in
+  let oa' =
+    version ~fresh:[ bidder; cur' ] oa
+      (List.rev_append rev_before (bidder :: replace cur cur' after))
+  in
+  let root', replaced = rebuild ancs oa oa' in
+  advance t ~root:root' ~replaced:((cur, cur') :: replaced) ~added:[ bidder; text ]
+    ~removed:(Dom.children cur)
 
 let close_auction t ~auction ~date =
   let oa = find_open_auction t auction in
@@ -175,8 +261,12 @@ let close_auction t ~auction ~date =
     | None -> err "bidder without personref"
   in
   let price = leaf_value oa "current" in
-  let closeds = require_section t.root "closed_auctions" in
-  let opens = require_section t.root "open_auctions" in
+  let site = root t in
+  let closeds = require_section site "closed_auctions" in
+  let opens = require_section site "open_auctions" in
+  (match MM.parent t.store oa with
+  | Some p when p == opens -> ()
+  | Some _ | None -> err "auction %s is not a child of <open_auctions>" auction);
   let ref_attr tag =
     match child_el oa tag with
     | Some n -> Dom.attr n (match tag with "itemref" -> "item" | _ -> "person")
@@ -202,10 +292,15 @@ let close_auction t ~auction ~date =
         @ (match child_el oa "annotation" with Some a -> [ Dom.deep_copy a ] | None -> []))
       "closed_auction"
   in
+  place closed ~lo:closeds.Dom.subtree_end ~hi:(upper [ site ] closeds);
   (* unlink from open_auctions, append to closed_auctions *)
-  (match opens.Dom.desc with
-  | Dom.Element e -> e.Dom.children <- List.filter (fun c -> c != oa) e.Dom.children
-  | Dom.Text _ -> assert false);
-  Dom.append closeds closed;
-  Hashtbl.replace t.closed_ids auction ();
-  invalidate t
+  let opens' = version opens (List.filter (fun c -> c != oa) (Dom.children opens)) in
+  let closeds' = version ~fresh:[ closed ] closeds (Dom.children closeds @ [ closed ]) in
+  let site' =
+    version ~fresh:[ opens'; closeds' ] site
+      (replace opens opens' (replace closeds closeds' (Dom.children site)))
+  in
+  advance t ~root:site'
+    ~replaced:[ (site, site'); (opens, opens'); (closeds, closeds') ]
+    ~added:[ closed ] ~removed:[ oa ];
+  Hashtbl.replace t.closed_ids auction ()

@@ -2,6 +2,7 @@ type node = {
   mutable desc : desc;
   mutable parent : node option;
   mutable order : int;
+  mutable subtree_end : int;
 }
 
 and desc =
@@ -15,13 +16,20 @@ and element = {
 }
 
 let element_sym ?(attrs = []) ?(children = []) name =
-  let n = { desc = Element { name; attrs; children }; parent = None; order = -1 } in
+  let n =
+    { desc = Element { name; attrs; children }; parent = None; order = -1; subtree_end = -1 }
+  in
   List.iter (fun c -> c.parent <- Some n) children;
   n
 
 let element ?attrs ?children name = element_sym ?attrs ?children (Symbol.intern name)
 
-let text data = { desc = Text data; parent = None; order = -1 }
+let text data = { desc = Text data; parent = None; order = -1; subtree_end = -1 }
+
+let version n ~children ~subtree_end =
+  match n.desc with
+  | Element e -> { n with desc = Element { e with children }; subtree_end }
+  | Text _ -> invalid_arg "Dom.version: text node cannot have children"
 
 let append parent child =
   match parent.desc with
@@ -30,17 +38,19 @@ let append parent child =
       child.parent <- Some parent
   | Text _ -> invalid_arg "Dom.append: text node cannot have children"
 
-let rec number counter n =
+let rec number counter stride n =
   n.order <- !counter;
-  incr counter;
-  match n.desc with
+  counter := !counter + stride;
+  (match n.desc with
   | Text _ -> ()
-  | Element e -> List.iter (number counter) e.children
+  | Element e -> List.iter (number counter stride) e.children);
+  n.subtree_end <- !counter - stride + 1
 
-let index root =
-  let counter = ref 0 in
-  number counter root;
-  !counter
+let index ?(first = 0) ?(stride = 1) root =
+  if stride < 1 then invalid_arg "Dom.index: stride must be positive";
+  let counter = ref first in
+  number counter stride root;
+  (!counter - first) / stride
 
 let order_exn n =
   if n.order < 0 then invalid_arg "Dom.index not run" else n.order

@@ -15,6 +15,10 @@ type node = {
   mutable desc : desc;
   mutable parent : node option;
   mutable order : int;  (** document order; [-1] until {!index} runs *)
+  mutable subtree_end : int;
+      (** one past the largest order in the subtree, so a node [d] is a
+          descendant-or-self iff [order <= d.order < subtree_end]; set
+          by {!index} *)
 }
 
 and desc =
@@ -38,13 +42,24 @@ val element_sym : ?attrs:(string * string) list -> ?children:node list -> Symbol
 val text : string -> node
 (** Text node. *)
 
+val version : node -> children:node list -> subtree_end:int -> node
+(** [version n ~children ~subtree_end] is a new element record with
+    [n]'s tag, attributes, parent and order, and the given children and
+    subtree end.  Unlike {!element} it does not re-parent the children:
+    they may still belong to [n], which another reader can reach.
+    @raise Invalid_argument on a text node. *)
+
 val append : node -> node -> unit
 (** [append parent child] adds [child] as last child of [parent].
     @raise Invalid_argument if [parent] is a text node. *)
 
-val index : node -> int
-(** [index root] numbers the subtree in document order starting at 0 and
-    returns the number of nodes. *)
+val index : ?first:int -> ?stride:int -> node -> int
+(** [index root] numbers the subtree in document order, sets every
+    node's {!field-subtree_end}, and returns the number of nodes.  Orders
+    start at [first] (default 0) and step by [stride] (default 1); a
+    stride above 1 leaves a gap of [stride - 1] free orders after every
+    node, where an inserted subtree can be numbered without renumbering
+    its neighbours. *)
 
 val order_exn : node -> int
 (** The node's document-order number.

@@ -222,8 +222,8 @@ let test_update_workload_runs () =
   let rows = Xmark_core.Experiments.update_workload ~factor:0.001 ~rounds:2 () in
   Alcotest.(check int) "two rounds" 2 (List.length rows);
   List.iter
-    (fun (_, w, r, q) ->
-      Alcotest.(check bool) "times non-negative" true (w >= 0.0 && r >= 0.0 && q >= 0.0))
+    (fun (_, w, q) ->
+      Alcotest.(check bool) "times non-negative" true (w >= 0.0 && q >= 0.0))
     rows
 
 let test_csv_exports () =

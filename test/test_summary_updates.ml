@@ -80,8 +80,12 @@ let count_of session q =
 let test_register_person () =
   let s = fresh_session () in
   let before = count_of s "count(/site/people/person)" in
+  let epoch0 = Updates.store s in
   let id = Updates.register_person s ~name:"Ada Lovelace" ~email:"mailto:ada@example.org" in
-  Alcotest.(check bool) "pending after mutation" true (Updates.pending s);
+  Alcotest.(check bool) "the update made a new store" true (Updates.store s != epoch0);
+  (match E.eval_string epoch0 "count(/site/people/person)" with
+  | [ E.Num f ] -> Alcotest.(check int) "the old store is unchanged" before (int_of_float f)
+  | _ -> Alcotest.fail "not a count");
   Alcotest.(check int) "one more person" (before + 1) (count_of s "count(/site/people/person)");
   let name =
     query s (Printf.sprintf {|/site/people/person[@id = "%s"]/name/text()|} id)
@@ -127,7 +131,14 @@ let test_place_bid () =
          auction auction)
   in
   Alcotest.(check bool) "bidder precedes current" true
-    (last_bidder_before_current = [ E.Bool true ])
+    (last_bidder_before_current = [ E.Bool true ]);
+  (* the new price text knows its parent: [..] from it is <current>,
+     not the document node *)
+  Alcotest.(check int) "parent of the new current text" 1
+    (count_of s
+       (Printf.sprintf
+          {|count(/site/open_auctions/open_auction[@id = "%s"]/current/text()/../text())|}
+          auction))
 
 let test_place_bid_errors () =
   let s = fresh_session () in

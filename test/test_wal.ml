@@ -1,7 +1,9 @@
 (* The write path: WAL records round-trip and recover exactly (torn
    tails truncate, CRC-valid damage raises the typed Corrupt), the
    writer reopens to the identical post-replay state, published epochs
-   are immutable under later commits (snapshot isolation), the server
+   are immutable under later commits (snapshot isolation), every
+   path-copied epoch answers like a fresh load of its serialized tree
+   and a commit builds a bounded number of nodes, the server
    answers writes with the typed commit/rejection statuses, and a mixed
    read/write workload over four client domains never observes a torn
    store (zero per-epoch digest mismatches). *)
@@ -451,7 +453,8 @@ let test_server_read_only_refusal () =
 
 let test_epoch_isolation () =
   (* a session pinned before a commit keeps answering from its epoch:
-     published stores are deep copies the writer never touches again *)
+     a commit derives a new store and never writes a node an earlier
+     one can reach *)
   let server, writer = writable_server (fresh "isolation.d") in
   let pinned = Server.session server in
   let before = Writer.digest_of_session pinned 8 in
@@ -519,6 +522,216 @@ let test_mixed_workload_isolated () =
           Alcotest.(check int) "single-domain replay also isolated" 0
             report2.Workload.r_digest_mismatches))
 
+(* --- epochs: path-copied stores against a fresh bulkload ------------------ *)
+
+module MM = Xmark_store.Backend_mainmem
+module Prng = Xmark_prng.Prng
+
+let epoch_doc = lazy (Xmark_xmlgen.Generator.to_string ~factor:0.01 ())
+
+let all_queries = List.init 20 (fun i -> i + 1)
+
+let digests store =
+  let session = Runner.adopt_mainmem store in
+  List.map (Writer.digest_of_session session) all_queries
+
+(* What a bulkload of the same system reads from the epoch's document. *)
+let fresh_load store =
+  MM.of_string ~level:(MM.level store) (Xmark_xml.Serialize.to_string (MM.dom_root store))
+
+(* Preorder walk through the store's own navigation: the node array and
+   each node's position, keyed by its order (unique within a store). *)
+let preorder store =
+  let acc = ref [] in
+  let rec walk n =
+    acc := n :: !acc;
+    List.iter walk (MM.children store n)
+  in
+  walk (MM.root store);
+  let nodes = Array.of_list (List.rev !acc) in
+  let pos = Hashtbl.create (Array.length nodes) in
+  Array.iteri (fun i n -> Hashtbl.replace pos (MM.order store n) i) nodes;
+  (nodes, pos)
+
+(* Every access path the evaluator reads order through, compared node
+   for node by preorder position: parent, subtree_interval (as the set
+   of positions it covers), tag_nodes and id_lookup. *)
+let check_structure ~what epoch =
+  let fresh = fresh_load epoch in
+  let (e_nodes, e_pos), (f_nodes, f_pos) = (preorder epoch, preorder fresh) in
+  let n = Array.length f_nodes in
+  Alcotest.(check int) (what ^ ": node count") n (Array.length e_nodes);
+  Alcotest.(check int) (what ^ ": node_count") (MM.node_count fresh) (MM.node_count epoch);
+  let at store pos = Option.map (fun x -> Hashtbl.find pos (MM.order store x)) in
+  let orders store nodes = Array.map (MM.order store) nodes in
+  let e_orders = orders epoch e_nodes and f_orders = orders fresh f_nodes in
+  for i = 1 to n - 1 do
+    if e_orders.(i) <= e_orders.(i - 1) then
+      Alcotest.failf "%s: order not increasing at position %d" what i
+  done;
+  (* positions in [i, covered) have orders inside the interval *)
+  let covered orders (lo, hi) i =
+    if orders.(i) <> lo then Alcotest.failf "%s: interval starts off the node" what;
+    let rec go j = if j < n && orders.(j) < hi then go (j + 1) else j in
+    go i
+  in
+  for i = 0 to n - 1 do
+    let e = e_nodes.(i) and f = f_nodes.(i) in
+    if at epoch e_pos (MM.parent epoch e) <> at fresh f_pos (MM.parent fresh f) then
+      Alcotest.failf "%s: parent differs at position %d" what i;
+    match (MM.subtree_interval epoch e, MM.subtree_interval fresh f) with
+    | Some ie, Some iff ->
+        if covered e_orders ie i <> covered f_orders iff i then
+          Alcotest.failf "%s: subtree interval differs at position %d" what i
+    | _ -> Alcotest.failf "%s: no subtree interval" what
+  done;
+  let tags = Hashtbl.create 97 in
+  Array.iter
+    (fun x -> if MM.kind fresh x = `Element then Hashtbl.replace tags (MM.name fresh x) ())
+    f_nodes;
+  Hashtbl.iter
+    (fun tag () ->
+      let positions store pos =
+        List.map (fun x -> Hashtbl.find pos (MM.order store x))
+          (Option.get (MM.tag_nodes store tag))
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s: extent of <%s>" what (Xmark_xml.Symbol.to_string tag))
+        (positions fresh f_pos) (positions epoch e_pos))
+    tags;
+  Array.iter
+    (fun x ->
+      match MM.attribute fresh x "id" with
+      | Some id ->
+          let look store pos = Option.map (fun l -> at store pos l) (MM.id_lookup store id) in
+          if look epoch e_pos <> look fresh f_pos then
+            Alcotest.failf "%s: id_lookup %s differs" what id
+      | None -> ())
+    f_nodes
+
+let expect_fault what check session op =
+  let before = Updates.store session in
+  match Record.apply session op with
+  | _ -> Alcotest.failf "%s: committed" what
+  | exception Updates.Update_error f ->
+      if not (check f) then Alcotest.failf "%s: wrong fault %s" what (Updates.fault_to_string f);
+      if Updates.store session != before then Alcotest.failf "%s: the store changed" what
+
+let epochs_match_fresh_loads ~level ~commits:total () =
+  let session = Updates.of_string ~level (Lazy.force epoch_doc) in
+  let n_auctions, n_persons = Updates.id_bounds session in
+  let g = Prng.create ~seed:1302L () in
+  let bid auction =
+    Record.Place_bid
+      { auction; person = Printf.sprintf "person%d" (Prng.int g n_persons);
+        increase = float_of_int (1 + Prng.int g 40) /. 2.0;
+        date = "07/31/2002"; time = "12:00:00" }
+  in
+  let auction () = Printf.sprintf "open_auction%d" (Prng.int g n_auctions) in
+  let pinned = ref [ (Updates.store session, digests (Updates.store session)) ] in
+  let closed = ref [] and rejected = ref 0 and commits = ref 0 in
+  while !commits < total do
+    (* typed rejections ride along, and must leave the store as it was *)
+    (match !commits mod 8 with
+    | 3 ->
+        expect_fault "unknown person"
+          (function Updates.Unknown_person _ -> true | _ -> false)
+          session
+          (Record.Place_bid
+             { auction = "open_auction0"; person = "person999999"; increase = 1.0;
+               date = "d"; time = "t" })
+    | 5 ->
+        expect_fault "unknown auction"
+          (function Updates.Unknown_auction _ -> true | _ -> false)
+          session (bid "open_auction999999")
+    | 7 when !closed <> [] ->
+        expect_fault "bid on a closed auction"
+          (function Updates.Auction_closed _ -> true | _ -> false)
+          session (bid (List.hd !closed))
+    | _ -> ());
+    let op =
+      match Prng.int g 10 with
+      | 0 | 1 ->
+          Record.Register_person
+            { name = Printf.sprintf "Epoch %d" !commits;
+              email = Printf.sprintf "mailto:e%d@example.invalid" !commits }
+      | 2 | 3 -> Record.Close_auction { auction = auction (); date = "08/01/2002" }
+      | _ -> bid (auction ())
+    in
+    match Record.apply session op with
+    | exception Updates.Update_error (Updates.Auction_closed _ | Updates.No_bids _) ->
+        (* random ids meet bid-less and already closed auctions *)
+        incr rejected
+    | _ ->
+        incr commits;
+        (match op with
+        | Record.Close_auction { auction; _ } -> closed := auction :: !closed
+        | _ -> ());
+        let epoch = Updates.store session in
+        let d = digests epoch in
+        Alcotest.(check (list string))
+          (Printf.sprintf "epoch %d answers like a fresh load" !commits)
+          (digests (fresh_load epoch)) d;
+        pinned := (epoch, d) :: !pinned;
+        if level = `Full && (!commits mod 16 = 1 || !commits = total) then
+          check_structure ~what:(Printf.sprintf "epoch %d" !commits) epoch
+  done;
+  if level = `Full then begin
+    Alcotest.(check bool) "closes committed" true (!closed <> []);
+    Alcotest.(check bool) "random rejections met" true (!rejected > 0)
+  end;
+  (* isolation: no later commit changed an earlier epoch's answers *)
+  List.iteri
+    (fun i (epoch, d) ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "pinned epoch %d" (List.length !pinned - 1 - i))
+        d (digests epoch))
+    !pinned
+
+(* The O(update) gate, counted rather than timed: the nodes one commit
+   builds (new versions plus inserted nodes) do not grow with the
+   document.  A close copies the auction's annotation, which belongs to
+   the update; everything else is a fixed handful. *)
+let nodes_built_per_commit factor =
+  let session = Updates.of_string (Xmark_xmlgen.Generator.to_string ~factor ()) in
+  let n_auctions, _ = Updates.id_bounds session in
+  let annotation_size auction =
+    match MM.find_id (Updates.store session) auction with
+    | Some oa ->
+        List.fold_left
+          (fun a c -> if Xmark_xml.Dom.name c = "annotation" then a + Xmark_xml.Dom.size c else a)
+          0 (Xmark_xml.Dom.children oa)
+    | None -> 0
+  in
+  let worst = ref 0 in
+  Xmark_stats.enable ();
+  Fun.protect ~finally:Xmark_stats.disable (fun () ->
+      for i = 0 to 3 * n_auctions - 1 do
+        let auction = Printf.sprintf "open_auction%d" (i mod n_auctions) in
+        let op, moved =
+          match i / n_auctions with
+          | 0 ->
+              ( Record.Place_bid
+                  { auction; person = "person0"; increase = 1.0; date = "d"; time = "t" },
+                0 )
+          | 1 -> (Record.Register_person { name = "N"; email = "mailto:n@x" }, 0)
+          | _ -> (Record.Close_auction { auction; date = "d" }, annotation_size auction)
+        in
+        Xmark_stats.reset ();
+        match Record.apply session op with
+        | exception Updates.Update_error _ -> ()
+        | _ -> worst := max !worst (Xmark_stats.total "nodes_built" - moved)
+      done);
+  !worst
+
+let test_commit_work_is_bounded () =
+  let small = nodes_built_per_commit 0.001 and large = nodes_built_per_commit 0.01 in
+  let bound = 16 in
+  Alcotest.(check bool) (Printf.sprintf "f=0.001: %d nodes per commit <= %d" small bound)
+    true (0 < small && small <= bound);
+  Alcotest.(check bool) (Printf.sprintf "f=0.01: %d nodes per commit <= %d" large bound)
+    true (0 < large && large <= bound)
+
 let () =
   Alcotest.run "wal"
     [
@@ -561,6 +774,16 @@ let () =
           Alcotest.test_case "read-only refusal" `Quick
             test_server_read_only_refusal;
           Alcotest.test_case "epoch isolation" `Quick test_epoch_isolation;
+        ] );
+      ( "epochs",
+        [
+          Alcotest.test_case "every epoch answers like a fresh load" `Quick
+            (epochs_match_fresh_loads ~level:`Full ~commits:64);
+          Alcotest.test_case "System E and F epochs too" `Quick (fun () ->
+              epochs_match_fresh_loads ~level:`Id_only ~commits:3 ();
+              epochs_match_fresh_loads ~level:`Plain ~commits:3 ());
+          Alcotest.test_case "nodes built per commit stay bounded" `Quick
+            test_commit_work_is_bounded;
         ] );
       ( "workload",
         [ Alcotest.test_case "mixed load, 4 domains, zero mismatches" `Quick
