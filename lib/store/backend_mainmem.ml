@@ -21,23 +21,25 @@ type t = {
   tags : Dom.node list array option;
       (* symbol-indexed extents of the load in document order; shorter
          than the symbol table only when tags were interned after it *)
+  tag_base : Dom.node list IMap.t;
+      (* tag -> an extent an earlier epoch merged, replacing the load's *)
   tag_delta : Dom.node option IMap.t IMap.t;
-      (* tag -> order -> the element now at that order ([None]: gone) *)
+      (* tag -> order -> the element now at that order ([None]: gone),
+         for every change since the tag's base *)
   versions : Dom.node IMap.t;
       (* order -> current version of every element an epoch replaced;
-         shared nodes still point at the version they were built under *)
+         shared nodes point at an older node of the same order *)
   merged : (int, Dom.node list) Hashtbl.t;
       (* extents of the tags [tag_delta] touches, merged on first use *)
-  ext_lock : Mutex.t;
   bytes : int;
   nodes : int;
   keyword_indexes : (Symbol.t, (string, Dom.node list) Hashtbl.t) Hashtbl.t;
       (* per-tag inverted index over string values; built lazily (System D's
          optional full-text access path, paper Section 6.9) *)
-  kw_lock : Mutex.t;
-      (* guards the lazy build: with [ext_lock], the only mutation a
-         store performs on its query path, so these locks are what make
-         a store shareable across the query service's domains *)
+  lock : Mutex.t;
+      (* guards [merged] and [keyword_indexes], the only state a store
+         writes on its query path, so this lock is what makes a store
+         shareable across the query service's domains *)
 }
 
 let node_bytes n =
@@ -79,10 +81,10 @@ let create ?id_index ~level root =
           root;
         Some (Array.map List.rev extents)
   in
-  { root; lvl = level; ids; id_delta = SMap.empty; tags; tag_delta = IMap.empty;
-    versions = IMap.empty; merged = Hashtbl.create 1; ext_lock = Mutex.create ();
+  { root; lvl = level; ids; id_delta = SMap.empty; tags; tag_base = IMap.empty;
+    tag_delta = IMap.empty; versions = IMap.empty; merged = Hashtbl.create 1;
     bytes = estimate_bytes root; nodes; keyword_indexes = Hashtbl.create 4;
-    kw_lock = Mutex.create () }
+    lock = Mutex.create () }
 
 let of_string ~level s = create ~level (Xmark_xml.Sax.parse_string s)
 
@@ -135,8 +137,8 @@ let id_lookup t id =
       if hit <> None then Stats.incr "index_hits";
       Some hit
 
-(* The load's extent with an epoch's changes applied: one merge of two
-   order-sorted sequences. *)
+(* A tag's base extent with the changes since it applied: one merge of
+   two order-sorted sequences. *)
 let merge base delta =
   let rec go acc base delta =
     match (base, delta) with
@@ -149,23 +151,32 @@ let merge base delta =
   and push acc = function Some n -> n :: acc | None -> acc in
   go [] base (IMap.bindings delta)
 
-let tag_nodes t tag =
+(* [tag]'s extent; [locked] says whether the caller holds [t.lock]. *)
+let extent ~locked t tag =
   match t.tags with
   | None -> None
   | Some extents -> (
       Stats.incr "summary_consultations";
       let i = (tag : Symbol.t :> int) in
-      let base = if i < Array.length extents then extents.(i) else [] in
+      let base =
+        match IMap.find_opt i t.tag_base with
+        | Some l -> l
+        | None -> if i < Array.length extents then extents.(i) else []
+      in
       match IMap.find_opt i t.tag_delta with
       | None -> Some base
       | Some delta ->
-          Mutex.protect t.ext_lock (fun () ->
-              match Hashtbl.find_opt t.merged i with
-              | Some l -> Some l
-              | None ->
-                  let l = merge base delta in
-                  Hashtbl.replace t.merged i l;
-                  Some l))
+          let get () =
+            match Hashtbl.find_opt t.merged i with
+            | Some l -> l
+            | None ->
+                let l = merge base delta in
+                Hashtbl.replace t.merged i l;
+                l
+          in
+          Some (if locked then get () else Mutex.protect t.lock get))
+
+let tag_nodes t tag = extent ~locked:false t tag
 
 let tag_count t tag = Option.map List.length (tag_nodes t tag)
 
@@ -174,7 +185,7 @@ let subtree_interval t (n : node) =
   | `Plain | `Id_only -> None
   | `Full ->
       Stats.incr "summary_consultations";
-      Some (n.Dom.order, n.Dom.subtree_end)
+      Some (n.Dom.order, Dom.subtree_end n)
 
 (* Tokens are maximal alphanumeric runs, lowercased. *)
 let tokens s =
@@ -197,14 +208,14 @@ let tokens s =
   !out
 
 let keyword_index t tag =
-  (* the whole lookup-or-build runs under kw_lock: concurrent readers of
-     a warm index only pay an uncontended lock, and a cold index is
+  (* the whole lookup-or-build runs under the lock: concurrent readers
+     of a warm index only pay an uncontended lock, and a cold index is
      built exactly once even when several domains ask for it at once *)
-  Mutex.protect t.kw_lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       match Hashtbl.find_opt t.keyword_indexes tag with
       | Some idx -> Some idx
       | None -> (
-          match tag_nodes t tag with
+          match extent ~locked:true t tag with
           | None -> None
           | Some extent ->
               let idx = Hashtbl.create 4096 in
@@ -259,12 +270,24 @@ type change = {
 }
 
 let derive t c =
+  let merged, keyword_indexes =
+    Mutex.protect t.lock (fun () -> (Hashtbl.copy t.merged, Hashtbl.copy t.keyword_indexes))
+  in
   let ids = ref t.id_delta and tags = ref t.tag_delta and versions = ref t.versions in
-  let bytes = ref t.bytes and nodes = ref t.nodes in
+  let bases = ref t.tag_base and bytes = ref t.bytes and nodes = ref t.nodes in
   let touched = Hashtbl.create 8 in
   let note_tag n v =
     let tag = (Dom.name_sym n :> int) in
-    Hashtbl.replace touched tag ();
+    if not (Hashtbl.mem touched tag) then begin
+      Hashtbl.replace touched tag ();
+      (* an extent a reader merged becomes the tag's base, so a merge
+         walks the changes since the last merge, not all since the load *)
+      match Hashtbl.find_opt merged tag with
+      | Some l ->
+          bases := IMap.add tag l !bases;
+          tags := IMap.remove tag !tags
+      | None -> ()
+    end;
     if t.tags <> None then
       tags :=
         IMap.update tag
@@ -306,20 +329,18 @@ let derive t c =
     c.added;
   (* what the previous epoch computed lazily stays valid for every tag
      none of whose elements changed *)
-  let carry lock tbl key =
-    let out = Hashtbl.create (max 1 (Hashtbl.length tbl)) in
-    Mutex.protect lock (fun () ->
-        Hashtbl.iter (fun k v -> if not (Hashtbl.mem touched (key k)) then Hashtbl.replace out k v) tbl);
-    out
-  in
+  Hashtbl.filter_map_inplace (fun k l -> if Hashtbl.mem touched k then None else Some l) merged;
+  Hashtbl.filter_map_inplace
+    (fun (k : Symbol.t) idx -> if Hashtbl.mem touched (k :> int) then None else Some idx)
+    keyword_indexes;
   { t with
     root = c.new_root;
     id_delta = !ids;
+    tag_base = !bases;
     tag_delta = !tags;
     versions = !versions;
-    merged = carry t.ext_lock t.merged Fun.id;
-    ext_lock = Mutex.create ();
+    merged;
     bytes = !bytes;
     nodes = !nodes;
-    keyword_indexes = carry t.kw_lock t.keyword_indexes (fun (k : Symbol.t) -> (k :> int));
-    kw_lock = Mutex.create () }
+    keyword_indexes;
+    lock = Mutex.create () }

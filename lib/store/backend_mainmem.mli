@@ -57,7 +57,10 @@ type change = {
 val derive : t -> change -> t
 (** The next store: this one's ID index, extents, node and byte counts
     with the change applied, and its lazily built extents and keyword
-    indexes carried over for every tag the change leaves alone. *)
+    indexes carried over for every tag the change leaves alone.  A
+    touched tag whose extent a reader merged takes that list as its new
+    base, so the changes a merge walks are only those since the last
+    merge. *)
 
 val find_id : t -> string -> node option
 (** The element carrying an id, on every level (see [id_index]); no

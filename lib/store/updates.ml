@@ -116,14 +116,24 @@ let place fresh ~lo ~hi =
   if k > hi - lo then err "no document-order gap left at this position"
 
 (* A new version of [p] with [children].  [fresh] lists the children
-   this update built, which take the version as parent; shared children
-   keep theirs (the epoch's version map resolves it). *)
+   this update built; shared children keep their parent pointers.  A
+   parent pointer only names an order, which the epoch's version map
+   resolves to the current version, so a fresh child points where its
+   shared siblings already do.  Pointing it at [p'] would keep [p']'s
+   whole child list alive for as long as the child lives: one copy of
+   the section per commit.  Only a version with no shared child hands
+   out itself. *)
 let version ?(fresh = []) p children =
   let subtree_end =
-    List.fold_left (fun e c -> max e c.Dom.subtree_end) p.Dom.subtree_end fresh
+    List.fold_left (fun e c -> max e (Dom.subtree_end c)) (Dom.subtree_end p) fresh
   in
   let p' = Dom.version p ~children ~subtree_end in
-  List.iter (fun c -> c.Dom.parent <- Some p') fresh;
+  let anchor =
+    match List.find_opt (fun c -> not (List.memq c fresh)) children with
+    | Some c -> c.Dom.parent
+    | None -> Some p'
+  in
+  List.iter (fun c -> c.Dom.parent <- anchor) fresh;
   p'
 
 (* [l] with [x] replaced by [y]: the cells before [x] are copied, the
@@ -167,7 +177,7 @@ let register_person t ~name ~email =
                   Dom.element ~children:[ Dom.text email ] "emailaddress" ]
       "person"
   in
-  place person ~lo:people.Dom.subtree_end ~hi:(upper [ site ] people);
+  place person ~lo:(Dom.subtree_end people) ~hi:(upper [ site ] people);
   let people' = version ~fresh:[ person ] people (Dom.children people @ [ person ]) in
   let root', replaced = rebuild [ site ] people people' in
   advance t ~root:root' ~replaced ~added:[ person ] ~removed:[];
@@ -189,7 +199,6 @@ let set_leaf ancs c value =
   if Dom.children c = [] && o >= upper ancs c then
     err "no document-order gap left at this position";
   text.Dom.order <- o;
-  text.Dom.subtree_end <- o + 1;
   (version ~fresh:[ text ] c [ text ], text)
 
 let money f = Printf.sprintf "%.2f" f
@@ -237,7 +246,7 @@ let place_bid t ~auction ~person ~increase ~date ~time =
   in
   let rev_before, after = split [] (Dom.children oa) in
   let ancs = ancestors t oa in
-  let lo = match rev_before with last :: _ -> last.Dom.subtree_end | [] -> oa.Dom.order + 1 in
+  let lo = match rev_before with last :: _ -> Dom.subtree_end last | [] -> oa.Dom.order + 1 in
   let hi = match after with next :: _ -> next.Dom.order | [] -> upper ancs oa in
   place bidder ~lo ~hi;
   let cur', text = set_leaf (oa :: ancs) cur (money (current +. increase)) in
@@ -292,7 +301,7 @@ let close_auction t ~auction ~date =
         @ (match child_el oa "annotation" with Some a -> [ Dom.deep_copy a ] | None -> []))
       "closed_auction"
   in
-  place closed ~lo:closeds.Dom.subtree_end ~hi:(upper [ site ] closeds);
+  place closed ~lo:(Dom.subtree_end closeds) ~hi:(upper [ site ] closeds);
   (* unlink from open_auctions, append to closed_auctions *)
   let opens' = version opens (List.filter (fun c -> c != oa) (Dom.children opens)) in
   let closeds' = version ~fresh:[ closed ] closeds (Dom.children closeds @ [ closed ]) in

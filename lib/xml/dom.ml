@@ -2,7 +2,6 @@ type node = {
   mutable desc : desc;
   mutable parent : node option;
   mutable order : int;
-  mutable subtree_end : int;
 }
 
 and desc =
@@ -13,22 +12,25 @@ and element = {
   name : Symbol.t;
   mutable attrs : (string * string) list;
   mutable children : node list;
+  mutable subtree_end : int;
 }
 
 let element_sym ?(attrs = []) ?(children = []) name =
   let n =
-    { desc = Element { name; attrs; children }; parent = None; order = -1; subtree_end = -1 }
+    { desc = Element { name; attrs; children; subtree_end = -1 }; parent = None; order = -1 }
   in
-  List.iter (fun c -> c.parent <- Some n) children;
+  (* one option block serves every child *)
+  let up = Some n in
+  List.iter (fun c -> c.parent <- up) children;
   n
 
 let element ?attrs ?children name = element_sym ?attrs ?children (Symbol.intern name)
 
-let text data = { desc = Text data; parent = None; order = -1; subtree_end = -1 }
+let text data = { desc = Text data; parent = None; order = -1 }
 
 let version n ~children ~subtree_end =
   match n.desc with
-  | Element e -> { n with desc = Element { e with children }; subtree_end }
+  | Element e -> { n with desc = Element { e with children; subtree_end } }
   | Text _ -> invalid_arg "Dom.version: text node cannot have children"
 
 let append parent child =
@@ -38,18 +40,24 @@ let append parent child =
       child.parent <- Some parent
   | Text _ -> invalid_arg "Dom.append: text node cannot have children"
 
-let rec number counter stride n =
-  n.order <- !counter;
-  counter := !counter + stride;
-  (match n.desc with
-  | Text _ -> ()
-  | Element e -> List.iter (number counter stride) e.children);
-  n.subtree_end <- !counter - stride + 1
+let subtree_end n =
+  match n.desc with
+  | Element e -> e.subtree_end
+  | Text _ -> n.order + 1
 
 let index ?(first = 0) ?(stride = 1) root =
   if stride < 1 then invalid_arg "Dom.index: stride must be positive";
   let counter = ref first in
-  number counter stride root;
+  let rec number n =
+    n.order <- !counter;
+    counter := !counter + stride;
+    match n.desc with
+    | Text _ -> ()
+    | Element e ->
+        List.iter number e.children;
+        e.subtree_end <- !counter - stride + 1
+  in
+  number root;
   (!counter - first) / stride
 
 let order_exn n =

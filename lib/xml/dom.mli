@@ -15,10 +15,6 @@ type node = {
   mutable desc : desc;
   mutable parent : node option;
   mutable order : int;  (** document order; [-1] until {!index} runs *)
-  mutable subtree_end : int;
-      (** one past the largest order in the subtree, so a node [d] is a
-          descendant-or-self iff [order <= d.order < subtree_end]; set
-          by {!index} *)
 }
 
 and desc =
@@ -29,6 +25,9 @@ and element = {
   name : Symbol.t;  (** interned tag *)
   mutable attrs : (string * string) list;  (** in source order *)
   mutable children : node list;  (** in document order *)
+  mutable subtree_end : int;
+      (** see {!val-subtree_end}; [-1] until {!index} runs.  Kept with
+          the element only: a text node's end is its order plus one *)
 }
 
 val element : ?attrs:(string * string) list -> ?children:node list -> string -> node
@@ -55,11 +54,15 @@ val append : node -> node -> unit
 
 val index : ?first:int -> ?stride:int -> node -> int
 (** [index root] numbers the subtree in document order, sets every
-    node's {!field-subtree_end}, and returns the number of nodes.  Orders
+    element's {!field-subtree_end}, and returns the number of nodes.  Orders
     start at [first] (default 0) and step by [stride] (default 1); a
     stride above 1 leaves a gap of [stride - 1] free orders after every
     node, where an inserted subtree can be numbered without renumbering
     its neighbours. *)
+
+val subtree_end : node -> int
+(** One past the largest order in the node's subtree, so a node [d] is
+    a descendant-or-self of [n] iff [n.order <= d.order < subtree_end n]. *)
 
 val order_exn : node -> int
 (** The node's document-order number.

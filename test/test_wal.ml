@@ -732,6 +732,43 @@ let test_commit_work_is_bounded () =
   Alcotest.(check bool) (Printf.sprintf "f=0.01: %d nodes per commit <= %d" large bound)
     true (0 < large && large <= bound)
 
+(* Memory, counted: the words reachable from an epoch's root through
+   child and parent links are the document plus whatever old versions
+   it still holds.  Between two equal rounds of registers and bids that
+   grows by the inserted nodes and a constant per commit, whatever the
+   size of the sections the commits touch: both factors keep 94 words
+   per commit.  Fresh children pointing at their parent's new version
+   keep a copy of the section's child list alive per commit: 326 words
+   at f=0.001, 743 at f=0.01. *)
+let words_per_commit factor =
+  let session = Updates.of_string (Xmark_xmlgen.Generator.to_string ~factor ()) in
+  let n_auctions, _ = Updates.id_bounds session in
+  let per_round = 50 in
+  let round () =
+    for i = 0 to per_round - 1 do
+      let auction = Printf.sprintf "open_auction%d" (i * 7 mod n_auctions) in
+      ignore (Record.apply session (Record.Register_person { name = "N"; email = "mailto:n@x" }));
+      ignore
+        (Record.apply session
+           (Record.Place_bid { auction; person = "person0"; increase = 1.0; date = "d"; time = "t" }))
+    done
+  in
+  let words () = Obj.reachable_words (Obj.repr (Updates.root session)) in
+  round ();
+  let w1 = words () in
+  round ();
+  (words () - w1) / (2 * per_round)
+
+let test_old_versions_are_released () =
+  let bound = 128 in
+  List.iter
+    (fun factor ->
+      let w = words_per_commit factor in
+      Alcotest.(check bool)
+        (Printf.sprintf "f=%g: %d words kept per commit <= %d" factor w bound)
+        true (w <= bound))
+    [ 0.001; 0.01 ]
+
 let () =
   Alcotest.run "wal"
     [
@@ -784,6 +821,8 @@ let () =
               epochs_match_fresh_loads ~level:`Plain ~commits:3 ());
           Alcotest.test_case "nodes built per commit stay bounded" `Quick
             test_commit_work_is_bounded;
+          Alcotest.test_case "old versions are released" `Quick
+            test_old_versions_are_released;
         ] );
       ( "workload",
         [ Alcotest.test_case "mixed load, 4 domains, zero mismatches" `Quick
